@@ -3,7 +3,8 @@
 Commands: validate, hn, finest, torsion, refine, compare, verify-table,
 oracle-check.  Output is deterministic (canonical sorting everywhere); JSON
 files round-trip exactly.  Exit codes: 0 success/match, 1 mismatch or
-invalid input data, 2 parse error, 3 window violation, 4 budget violation.
+invalid input data, 2 parse error, 3 window violation, 4 oracle budget or
+enumeration bound exceeded.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .oracle import BudgetExceededError
 from .phases import OrderError
 from .stability import (StabilityData, enumerate_finest, equivalent, hn_filtration,
                         is_coarser, is_finest, refine_to_finest, tau_orbit_size, validate)
+from .subcat import EnumerationBoundError, SubcatError
 from .tables import TABLE_AMBIENTS, verify_table
 from .torsion import (TorsionPair, classify_tube_torsion_pairs, enumerate_torsion_pairs,
                       pairs_to_markdown, torsion_pairs_from_finest, validate_torsion_pair)
@@ -85,8 +87,7 @@ def cmd_hn(args):
 
 def cmd_finest(args):
     amb = _ambient(args.ambient)
-    data = enumerate_finest(amb, upto_tau=args.upto_tau,
-                            method="general" if args.general else "auto")
+    data = enumerate_finest(amb, upto_tau=args.upto_tau)
     label = "up to tau-translation" if args.upto_tau else "up to equivalence"
     note = _windowed_note(amb)
     print(f"{len(data)} finest stability data on {amb.spec_string()} ({label})"
@@ -209,10 +210,6 @@ def build_parser():
     p = sub.add_parser("finest", help="enumerate finest stability data")
     p.add_argument("--ambient", required=True)
     p.add_argument("--upto-tau", action="store_true", dest="upto_tau")
-    p.add_argument("--upto-equiv", action="store_true", dest="upto_equiv",
-                   help="equivalence quotient (the default)")
-    p.add_argument("--general", action="store_true",
-                   help="no structural pruning of candidate pieces")
     p.set_defaults(func=cmd_finest)
 
     p = sub.add_parser("torsion", help="enumerate or classify torsion pairs")
@@ -256,10 +253,13 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         code = EXIT_BUDGET
+    except EnumerationBoundError as exc:
+        print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
+        code = EXIT_BUDGET
     except WindowError as exc:
         print(f"window violation: {exc}", file=sys.stderr)
         code = EXIT_WINDOW
-    except (OrderError, AmbientError) as exc:
+    except (OrderError, AmbientError, SubcatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PARSE
     except ValueError as exc:

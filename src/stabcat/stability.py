@@ -16,13 +16,17 @@ import itertools
 from dataclasses import dataclass, field
 
 from .phases import ExplicitOrder, Phase
-from .subcat import canon_members, closure, ctx_for, is_closed
+from .subcat import EnumerationBoundError, canon_members, closure, ctx_for, is_closed
 
 _HN_COMBO_CAP = 512
 
 
 class StabilityError(ValueError):
     pass
+
+
+class FinestBoundError(StabilityError, EnumerationBoundError):
+    """`enumerate_finest` on a carrier larger than its bound."""
 
 
 class HNFailureError(StabilityError):
@@ -396,25 +400,12 @@ def _connected(ambient, members) -> bool:
     return True
 
 
-def candidate_pieces(ambient, pool=None) -> list:
+def candidate_pieces(ambient) -> list:
     """Nonempty Hom-connected extension-closed subcats: the only sets that
     can serve as pieces of a finest datum (mutual Hom-nonvanishing)."""
     from .subcat import enumerate_ext_closed
 
-    if pool is None:
-        pool = enumerate_ext_closed(ambient)
-    return [s for s in pool if s and _connected(ambient, s)]
-
-
-def _tube_candidate_pieces(ambient) -> list:
-    """Single-generated pieces <S_j^(s)>, s <= n: the only shapes a finest
-    tube datum can use (unique length-n semistable, no lengths rn+s).  The
-    restriction is verified against the no-restriction search on small ranks.
-    """
-    from .tube import SegmentRep
-
-    n = ambient.n
-    return [closure(ambient, {SegmentRep(n, j, s)}) for j in range(n) for s in range(1, n + 1)]
+    return [s for s in enumerate_ext_closed(ambient) if s and _connected(ambient, s)]
 
 
 def _mandatory_objects(ambient) -> list:
@@ -428,8 +419,7 @@ def _mandatory_objects(ambient) -> list:
     return out
 
 
-def _valid_data_over_pieces(ambient, pieces_pool, check_conflicts=True,
-                            mandatory=None, max_pieces=None):
+def _valid_data_over_pieces(ambient, pieces_pool, mandatory=None):
     """Yield every valid datum whose pieces are drawn from the pool."""
     ctx = ctx_for(ambient)
     pool = [frozenset(p) for p in pieces_pool]
@@ -463,7 +453,7 @@ def _valid_data_over_pieces(ambient, pieces_pool, check_conflicts=True,
         yield from extend(frozenset(chosen))
 
     def rec(start, chosen, used_mask):
-        if chosen and (max_pieces is None or len(chosen) <= max_pieces):
+        if chosen:
             covered = ctx.to_mask([m for m in mandatory]) & ~used_mask == 0
             if covered:
                 for order in orders_of(chosen):
@@ -492,25 +482,54 @@ def enumerate_valid(ambient) -> list:
     return out
 
 
-def enumerate_finest(ambient, upto_tau: bool = False, method: str = "auto",
-                     bound: int = 64) -> list:
+def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
+    """Reference enumeration: validate every datum over the Hom-connected
+    closed pieces and keep the finest ones (small carriers only)."""
+    n = len(ambient.carrier())
+    if n > bound:
+        raise FinestBoundError(f"carrier size {n} exceeds reference-enumeration bound {bound}")
+    data = _valid_data_over_pieces(ambient, candidate_pieces(ambient),
+                                   mandatory=_mandatory_objects(ambient))
+    finest = [sd for sd in data if is_finest(ambient, sd)[0]]
+    finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
+    return finest
+
+
+def enumerate_finest(ambient, upto_tau: bool = False, bound: int = 64) -> list:
     """All finest valid data up to equivalence (optionally up to τ).
 
-    `method` picks the candidate-piece pool: "auto" uses the tube-specific
-    single-generator pool on tube ambients, "general" always uses the full
-    Hom-connected closed pool (the verification path for the restriction).
+    Finest data are the maximal chains 0 = T_0 < T_1 < ... < T_k = carrier of
+    the torsion-class lattice: the cover T_i < T_{i+1} is labelled by the
+    piece T_{i+1} & T_i^perp, a Hom-connected brick filtration (the brick
+    labelling of Demonet-Iyama-Reading-Reiten-Thomas, "Lattice theory of
+    torsion classes"; such chains are counted in Brüstle-Dupont-Pérotin,
+    "On maximal green sequences").  The last cover gives phase 1.  Every
+    datum is checked with `validate` and `is_finest`; one that fails raises
+    StabilityError naming it.
     """
-    from .ambient import TubeAmbient
+    from .torsion import torsion_lattice
 
-    if len(ambient.carrier()) > bound:
-        raise StabilityError(f"carrier size {len(ambient.carrier())} exceeds "
-                             f"enumeration bound {bound}")
-    if method == "auto" and isinstance(ambient, TubeAmbient):
-        pool = _tube_candidate_pieces(ambient)
-    else:
-        pool = candidate_pieces(ambient)
-    data = _valid_data_over_pieces(ambient, pool, mandatory=_mandatory_objects(ambient))
-    finest = [sd for sd in data if is_finest(ambient, sd)[0]]
+    n = len(ambient.carrier())
+    if n > bound:
+        raise FinestBoundError(f"carrier size {n} exceeds enumeration bound {bound}")
+    covers = torsion_lattice(ambient, bound)
+    ctx = ctx_for(ambient)
+    finest = []
+
+    def walk(t, pieces):
+        if t == ctx.full_mask:
+            phases = [Phase.integer(i + 1) for i in range(len(pieces))]
+            sd = StabilityData(ExplicitOrder(phases), dict(zip(phases, reversed(pieces))))
+            report = validate(ambient, sd)
+            if not (all(pieces) and report.valid and is_finest(ambient, sd)[0]):
+                raise StabilityError(f"maximal chain gives {sd}, which is not a finest "
+                                     f"valid datum: {report.summary()}")
+            finest.append(sd)
+            return
+        for u in covers[t]:
+            walk(u, pieces + [ctx.to_set(u & ctx.right_perp_mask(t))])
+
+    walk(next(iter(covers)), [])
     finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
     if not upto_tau:
         return finest

@@ -14,6 +14,10 @@ class SubcatError(ValueError):
     pass
 
 
+class EnumerationBoundError(SubcatError):
+    """The carrier is larger than an exhaustive enumeration accepts."""
+
+
 class CarrierContext:
     """Cached hom/extension tables for one ambient, as bitmasks."""
 
@@ -126,19 +130,25 @@ def left_perp(ambient, members) -> frozenset:
     return ctx.to_set(ctx.left_perp_mask(ctx.to_mask(members)))
 
 
+def check_enumerable(ambient, bound: int) -> None:
+    """Refuse exhaustive enumeration before any carrier table is built."""
+    if not getattr(ambient, "supports_enumeration", True):
+        raise SubcatError(f"{ambient.spec_string()} models only part of its extension "
+                          "structure; exhaustive enumeration is disabled")
+    n = len(ambient.carrier())
+    if n > bound:
+        raise EnumerationBoundError(f"carrier size {n} exceeds enumeration bound {bound}")
+
+
 def enumerate_ext_closed(ambient, bound: int = 64) -> list:
     """All extension-closed member sets, canonically sorted.
 
     Walks the closure system from the empty set: every closed set is reached
     by closing one-element enlargements of smaller closed sets.
     """
-    if not getattr(ambient, "supports_enumeration", True):
-        raise SubcatError(f"{ambient.spec_string()} models only part of its extension "
-                          "structure; exhaustive enumeration is disabled")
+    check_enumerable(ambient, bound)
     ctx = ctx_for(ambient)
     n = len(ctx.carrier)
-    if n > bound:
-        raise SubcatError(f"carrier size {n} exceeds enumeration bound {bound}")
     seen = {0}
     frontier = [0]
     while frontier:

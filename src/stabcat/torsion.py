@@ -1,11 +1,12 @@
-"""Torsion pairs: validation, brute-force enumeration, the ray/coray
+"""Torsion pairs: validation, the lattice of torsion classes, the ray/coray
 classifier for tubes, and the cuts-of-finest-data construction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .subcat import canon_members, closure, enumerate_ext_closed, left_perp, right_perp
+from .subcat import (canon_members, check_enumerable, closure, ctx_for, enumerate_ext_closed,
+                     left_perp, right_perp)
 
 
 class TorsionError(ValueError):
@@ -100,9 +101,64 @@ def _canonical_sort(pairs) -> list:
     return sorted(pairs, key=lambda p: (len(p.t), p.key()))
 
 
+def torsion_lattice(ambient, bound: int = 64) -> dict:
+    """The lattice of torsion classes as carrier bitmasks.
+
+    Maps each torsion class to the tuple of its upper covers, bottom class
+    first (breadth-first order).  The torsion class generated by a set S is
+    T(S) = perp(S^perp), and the upper covers of T are the minimal classes
+    T(T + {x}) with x outside T.  Every cover T < T' is labelled by the
+    piece T' & T^perp, the brick labelling of Demonet-Iyama-Reading-
+    Reiten-Thomas ("Lattice theory of torsion classes"), so maximal chains
+    are exactly the finest stability data.  Each class is checked to be
+    extension- and quotient-closed and to pass `validate_torsion_pair`; a
+    class that fails raises TorsionError naming it.
+    """
+    check_enumerable(ambient, bound)
+    ctx = ctx_for(ambient)
+
+    def generated(mask):
+        return ctx.left_perp_mask(ctx.right_perp_mask(mask))
+
+    bottom = generated(0)
+    covers, seen, frontier = {}, {bottom}, [bottom]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            ups = {generated(t | 1 << i) for i in ctx.bits(ctx.full_mask & ~t)}
+            covers[t] = tuple(sorted(u for u in ups
+                                     if not any(v != u and v & ~u == 0 for v in ups)))
+            for u in covers[t]:
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    for t in covers:
+        members, f = ctx.to_set(t), ctx.to_set(ctx.right_perp_mask(t))
+        if not (ctx.is_closed_mask(t) and is_quotient_closed(ambient, members)
+                and validate_torsion_pair(ambient, members, f).valid):
+            raise TorsionError(f"lattice class {list(map(str, canon_members(members)))} "
+                               f"on {ambient.spec_string()} is not a torsion class")
+    return covers
+
+
 def enumerate_torsion_pairs(ambient, upto_tau: bool = False, include_trivial: bool = False,
                             bound: int = 64) -> list:
-    """Brute force over quotient-closed extension-closed torsion classes."""
+    """Every torsion pair (T, T^perp), one per class of `torsion_lattice`."""
+    lattice = torsion_lattice(ambient, bound)
+    ctx = ctx_for(ambient)
+    pairs = [TorsionPair(ctx.to_set(t), ctx.to_set(ctx.right_perp_mask(t))) for t in lattice]
+    if not include_trivial:
+        pairs = [p for p in pairs if not p.is_trivial(ambient)]
+    if upto_tau:
+        pairs = dedupe_upto_tau(ambient, pairs)
+    return _canonical_sort(pairs)
+
+
+def _enumerate_torsion_pairs_brute(ambient, bound: int = 64) -> list:
+    """Reference enumeration, trivial pairs included: every extension-closed
+    set that is quotient-closed, equal to its double perp and passes
+    `validate_torsion_pair`."""
     pairs = []
     for t in enumerate_ext_closed(ambient, bound=bound):
         if not is_quotient_closed(ambient, t):
@@ -110,13 +166,8 @@ def enumerate_torsion_pairs(ambient, upto_tau: bool = False, include_trivial: bo
         f = right_perp(ambient, t)
         if left_perp(ambient, f) != t:
             continue
-        pair = TorsionPair(t, f)
         if validate_torsion_pair(ambient, t, f).valid:
-            pairs.append(pair)
-    if not include_trivial:
-        pairs = [p for p in pairs if not p.is_trivial(ambient)]
-    if upto_tau:
-        pairs = dedupe_upto_tau(ambient, pairs)
+            pairs.append(TorsionPair(t, f))
     return _canonical_sort(pairs)
 
 
@@ -189,7 +240,7 @@ def classify_tube_torsion_pairs(n: int, upto_tau: bool = False, include_trivial:
 
 
 def torsion_pairs_from_finest(ambient, include_trivial: bool = False) -> list:
-    """Union of all cuts of all finest data; must equal the brute force."""
+    """Union of all cuts of all finest data; must equal `enumerate_torsion_pairs`."""
     from .stability import all_cuts, cut_torsion_pair, enumerate_finest
 
     pairs = {}

@@ -65,6 +65,21 @@ def test_budget_violation_exit_four():
     assert "budget" in out.stderr.lower()
 
 
+def test_enumeration_bound_exit_four():
+    out = run_cli("finest", "--ambient", "tube:7")
+    assert out.returncode == 4
+    assert out.stderr.strip() == ("enumeration bound exceeded: "
+                                  "carrier size 98 exceeds enumeration bound 64")
+
+
+def test_enumeration_disabled_exit_two():
+    out = run_cli("torsion", "--ambient", "kronecker:window=6:points=3")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.strip().splitlines() == [out.stderr.strip()]
+    assert "enumeration is disabled" in out.stderr
+
+
 def test_finest_deterministic_output():
     a = run_cli("finest", "--ambient", "tube:3", "--upto-tau")
     b = run_cli("finest", "--ambient", "tube:3", "--upto-tau")

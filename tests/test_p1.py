@@ -121,7 +121,7 @@ def test_window_stability():
 
 def test_no_other_finest_in_small_window():
     small = P1Ambient(-2, 2, 2)
-    found = enumerate_finest(small, method="general")
+    found = enumerate_finest(small)
     expected = [finest_p1(small, order) for order in (["0", "1"], ["1", "0"])]
 
     def key(sd):

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import stabcat.stability as stability
 from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.phases import ExplicitOrder, Phase
-from stabcat.stability import (HNFailureError, StabilityData, StabilityError, all_cuts,
-                               cut_torsion_pair, enumerate_finest, enumerate_valid, equivalent,
-                               hn_chains, hn_filtration, is_coarser, is_finest, merge_adjacent,
+from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
+                               _enumerate_finest_reference, all_cuts, cut_torsion_pair,
+                               enumerate_finest, enumerate_valid, equivalent, hn_chains,
+                               hn_filtration, is_coarser, is_finest, merge_adjacent,
                                refine_to_finest, split_phase, tau_orbit_size, tau_translate,
                                validate)
 from stabcat.subcat import canon_members, closure, left_perp, right_perp
@@ -238,17 +240,28 @@ def test_enumerate_valid_a2():
 def test_enumerate_finest_counts():
     assert len(enumerate_finest(IntervalAmbient(2))) == 2
     assert len(enumerate_finest(IntervalAmbient(3))) == 9
+    assert len(enumerate_finest(IntervalAmbient(4))) == 98
+    assert len(enumerate_finest(IntervalAmbient(5))) == 2981
     t3 = TubeAmbient(3)
     assert len(enumerate_finest(t3)) == 12
     assert len(enumerate_finest(t3, upto_tau=True)) == 4
+    assert len(enumerate_finest(TubeAmbient(4))) == 204
 
 
-def test_enumerate_finest_structured_matches_general_on_small_ranks():
-    for n in (1, 2):
-        amb = TubeAmbient(n)
-        structured = {tuple(seq_strs(sd)) for sd in enumerate_finest(amb)}
-        general = {tuple(seq_strs(sd)) for sd in enumerate_finest(amb, method="general")}
-        assert structured == general
+def test_enumerate_finest_matches_reference():
+    """The chain walk returns exactly the finest data that validating every
+    datum over the Hom-connected closed pieces finds, in the same order."""
+    ambients = [IntervalAmbient(n) for n in (2, 3, 4)] + [TubeAmbient(n) for n in (1, 2, 3)]
+    for amb in ambients:
+        chains = [seq_strs(sd) for sd in enumerate_finest(amb)]
+        assert chains == [seq_strs(sd) for sd in _enumerate_finest_reference(amb)]
+
+
+def test_enumerate_finest_raises_on_bad_chain(monkeypatch):
+    """A chain datum that fails the finest check is reported, never dropped."""
+    monkeypatch.setattr(stability, "is_finest", lambda amb, sd: (False, None))
+    with pytest.raises(StabilityError, match="not a finest valid datum"):
+        enumerate_finest(IntervalAmbient(2))
 
 
 def test_tube_census():

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stabcat.subcat as subcat
 from stabcat.ambient import IntervalAmbient, TubeAmbient
-from stabcat.subcat import (SubcatError, closure, enumerate_ext_closed,
+from stabcat.stability import enumerate_finest
+from stabcat.subcat import (EnumerationBoundError, SubcatError, closure, enumerate_ext_closed,
                             enumerate_ext_closed_by_filter, is_closed, left_perp, right_perp)
+from stabcat.torsion import enumerate_torsion_pairs
 from stabcat.tube import SegmentRep
 
 
@@ -97,6 +100,17 @@ def test_enumerate_agrees_with_filter():
 def test_enumerate_empty_carrier_like_bound():
     with pytest.raises(SubcatError, match="bound"):
         enumerate_ext_closed(TubeAmbient(3), bound=4)
+
+
+def test_bound_checked_before_carrier_tables(monkeypatch):
+    def no_tables(ambient):
+        raise AssertionError("carrier tables built for an over-bound carrier")
+
+    monkeypatch.setattr(subcat, "CarrierContext", no_tables)
+    for enumerate_ in (enumerate_ext_closed, enumerate_torsion_pairs, enumerate_finest):
+        with pytest.raises(EnumerationBoundError,
+                           match="carrier size 98 exceeds enumeration bound 64"):
+            enumerate_(TubeAmbient(7))
 
 
 def test_enumerate_finitely_many_t3():

@@ -1,12 +1,16 @@
 import random
 
+import pytest
+
+import stabcat.torsion as torsion
 from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.stability import all_cuts, cut_torsion_pair, enumerate_finest, merge_adjacent
-from stabcat.subcat import closure, left_perp, right_perp
-from stabcat.torsion import (TorsionPair, classify_tube_torsion_pairs, dedupe_upto_tau,
+from stabcat.subcat import closure, ctx_for, left_perp, right_perp
+from stabcat.torsion import (TorsionError, TorsionPair, _enumerate_torsion_pairs_brute,
+                             classify_tube_torsion_pairs, dedupe_upto_tau,
                              enumerate_torsion_pairs, is_quotient_closed, is_sub_closed,
-                             pairs_to_markdown, tau_pair_orbit_size, torsion_pairs_from_finest,
-                             validate_torsion_pair)
+                             pairs_to_markdown, tau_pair_orbit_size, torsion_lattice,
+                             torsion_pairs_from_finest, validate_torsion_pair)
 
 
 def parse_set(amb, names):
@@ -45,6 +49,58 @@ def test_enumerate_counts():
     t3 = TubeAmbient(3)
     assert len(enumerate_torsion_pairs(t3, upto_tau=True)) == 6
     assert len(enumerate_torsion_pairs(t3)) == 18
+
+
+def test_torsion_class_counts():
+    """Catalan numbers for A_n (Ingalls-Thomas), binom(2n, n) for the rank-n
+    tube (Baur-Buan-Marsh); both count the two trivial classes."""
+    for n, count in ((2, 5), (3, 14), (4, 42), (5, 132)):
+        assert len(torsion_lattice(IntervalAmbient(n))) == count
+    for n, count in ((2, 6), (3, 20), (4, 70)):
+        assert len(torsion_lattice(TubeAmbient(n))) == count
+
+
+def test_lattice_matches_brute_force():
+    ambients = [IntervalAmbient(n) for n in range(1, 6)] + [TubeAmbient(n) for n in range(1, 5)]
+    for amb in ambients:
+        lattice = [p.key() for p in enumerate_torsion_pairs(amb, include_trivial=True)]
+        assert lattice == [p.key() for p in _enumerate_torsion_pairs_brute(amb)]
+
+
+def test_lattice_raises_on_bad_class(monkeypatch):
+    """A lattice class that fails validation is reported, never dropped."""
+    real = torsion.validate_torsion_pair
+
+    def reject_nonempty(ambient, t, f):
+        report = real(ambient, t, f)
+        report.valid = not t
+        return report
+
+    monkeypatch.setattr(torsion, "validate_torsion_pair", reject_nonempty)
+    with pytest.raises(TorsionError, match=r"lattice class \['M\[1,1\]@A2'\] on an:2"):
+        torsion_lattice(IntervalAmbient(2))
+
+
+def test_finest_data_are_maximal_chains():
+    """The cuts of each finest datum form one maximal chain of the torsion
+    lattice, distinct data give distinct chains, and every chain is hit."""
+    for amb in (IntervalAmbient(2), IntervalAmbient(3), IntervalAmbient(4),
+                TubeAmbient(2), TubeAmbient(3)):
+        ctx = ctx_for(amb)
+        covers = torsion_lattice(amb)
+        chains = set()
+        data = enumerate_finest(amb)
+        for sd in data:
+            chain = [ctx.to_mask(cut_torsion_pair(amb, sd, cut).t)
+                     for cut in reversed(all_cuts(sd))]
+            assert chain[0] == 0 and chain[-1] == ctx.full_mask
+            assert all(hi in covers[lo] for lo, hi in zip(chain, chain[1:]))
+            chains.add(tuple(chain))
+        assert len(chains) == len(data)
+        n_chains = {ctx.full_mask: 1}
+        for t in sorted(covers, key=lambda t: -t.bit_count()):
+            n_chains.setdefault(t, sum(n_chains[u] for u in covers[t]))
+        assert n_chains[0] == len(data)
 
 
 def test_double_perp_closure():

@@ -174,7 +174,7 @@ def test_no_other_finest_in_small_window():
     general search finds exactly the family instantiations over all anchor
     normalizations, torsion-phase interleavings and visible cuts."""
     small = X2Ambient(-1, 1, 1)
-    found = enumerate_finest(small, method="general")
+    found = enumerate_finest(small)
     reported = set(small.reported_members())
 
     def key(sd):
