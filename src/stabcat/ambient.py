@@ -18,6 +18,15 @@ from .tube import SegmentRep, TubeIndec, parse_tube, truncate_rep
 FAMILY_INSTANCES = 3
 
 
+def compositions(total: int, parts: int) -> list:
+    """Tuples of `parts` non-negative integers summing to `total`, in
+    lexicographic order: C(total + parts - 1, parts - 1) of them."""
+    if parts <= 1:
+        return [(total,)] if parts == 1 else ([()] if total == 0 else [])
+    return [(first,) + rest for first in range(total + 1)
+            for rest in compositions(total - first, parts - 1)]
+
+
 class AmbientError(ValueError):
     pass
 

@@ -3,8 +3,8 @@
 Commands: validate, hn, finest, torsion, refine, compare, verify-table,
 oracle-check.  Output is deterministic (canonical sorting everywhere); JSON
 files round-trip exactly.  Exit codes: 0 success/match, 1 mismatch or
-invalid input data, 2 parse error, 3 window violation, 4 oracle budget or
-enumeration bound exceeded.
+invalid input data, 2 parse error, 3 window violation, 4 oracle budget,
+enumeration bound or HN search cap exceeded.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .ambients import parse_ambient
 from .checks import SUITES, run_suite
 from .oracle import BudgetExceededError
 from .phases import OrderError
-from .stability import (StabilityData, enumerate_finest, equivalent, hn_filtration,
-                        is_coarser, is_finest, refine_to_finest, tau_orbit_size, validate)
+from .stability import (FormatError, StabilityData, enumerate_finest, equivalent,
+                        hn_filtration, is_coarser, refine_to_finest, tau_orbit_size, validate)
 from .subcat import EnumerationBoundError, SubcatError
 from .tables import TABLE_AMBIENTS, verify_table
 from .torsion import (TorsionPair, classify_tube_torsion_pairs, enumerate_torsion_pairs,
@@ -62,7 +62,7 @@ def _windowed_note(ambient) -> str:
 def cmd_validate(args):
     amb = _ambient(args.ambient)
     doc = _load_json(args.data)
-    if "T" in doc and "F" in doc:
+    if isinstance(doc, dict) and "T" in doc and "F" in doc:
         pair = TorsionPair.from_json(doc, amb)
         report = validate_torsion_pair(amb, pair.t, pair.f)
     else:
@@ -259,7 +259,7 @@ def main(argv=None):
     except WindowError as exc:
         print(f"window violation: {exc}", file=sys.stderr)
         code = EXIT_WINDOW
-    except (OrderError, AmbientError, SubcatError) as exc:
+    except (OrderError, AmbientError, SubcatError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PARSE
     except ValueError as exc:

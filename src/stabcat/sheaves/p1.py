@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
-from ..ambient import Ambient, AmbientError, WindowError
+from ..ambient import Ambient, AmbientError, WindowError, compositions
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -136,10 +135,8 @@ class P1Ambient(Ambient):
     def _torsion_spreads(self, gap: int):
         """All quotients of a degree-`gap` embedding: one torsion sheaf per
         point, lengths summing to gap."""
-        spreads = []
-        for lens in product(range(gap + 1), repeat=len(self.points)):
-            if sum(lens) == gap:
-                spreads.append(tuple(P1Tor(x, k) for x, k in zip(self.points, lens) if k))
+        spreads = [tuple(P1Tor(x, k) for x, k in zip(self.points, lens) if k)
+                   for lens in compositions(gap, len(self.points))]
         return [s for s in spreads if s]
 
     def carrier_decompositions(self, d) -> tuple:
@@ -220,8 +217,3 @@ def torsion_family_degree(amb: P1Ambient, n: int) -> TorsionPair:
                   if isinstance(d, P1Tor) or d.n > n)
     f = frozenset(d for d in amb.carrier() if isinstance(d, P1Line) and d.n <= n)
     return TorsionPair(t, f)
-
-
-def torsion_families_p1(amb: P1Ambient, points, n: int) -> list:
-    """Both classification rows instantiated in the window."""
-    return [torsion_family_points(amb, points), torsion_family_degree(amb, n)]

@@ -19,10 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .. import tube
-from ..ambient import Ambient, AmbientError, WindowError
+from ..ambient import Ambient, AmbientError, WindowError, compositions
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -228,9 +227,7 @@ class X2Ambient(Ambient):
             rest = gap - m_exc
             if rest % 2:
                 continue
-            for lens in product(range(rest // 2 + 1), repeat=len(self.points)):
-                if 2 * sum(lens) != rest:
-                    continue
+            for lens in compositions(rest // 2, len(self.points)):
                 quot = []
                 if m_exc:
                     quot.append(X2Exc(exc_parity, m_exc))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .phases import ExplicitOrder, Phase
 from .subcat import EnumerationBoundError, canon_members, closure, ctx_for, is_closed
@@ -33,13 +34,38 @@ class HNFailureError(StabilityError):
     """Raised when an object admits no decreasing-phase chain decomposition."""
 
 
+class HNBoundError(StabilityError, EnumerationBoundError):
+    """The HN search of one object would combine more chains than the cap."""
+
+
+class FormatError(ValueError):
+    """A datum or torsion-pair document does not have the documented shape."""
+
+
+def json_strings(value, what: str) -> list:
+    """`value` as a list of strings, or FormatError naming `what`."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise FormatError(f"{what} must be a list of strings")
+    return value
+
+
 class StabilityData:
+    """Phases and pieces, read-only: the datum caches its HN search for the
+    ambient it was last searched over (`hn_search`)."""
+
     def __init__(self, order: ExplicitOrder, pieces: dict):
         self.order = order
-        self.pieces = {ph: frozenset(m) for ph, m in pieces.items()}
+        self.pieces = MappingProxyType({ph: frozenset(m) for ph, m in pieces.items()})
         for ph in self.pieces:
             if not order.contains(ph):
                 raise StabilityError(f"phase {ph} is not carried by the order")
+        self._search = None
+
+    def hn_search(self, ambient) -> "HNSearch":
+        """The HN search of this datum over `ambient`, built on first use."""
+        if self._search is None or self._search.ambient is not ambient:
+            self._search = HNSearch(ambient, self)
+        return self._search
 
     def phases(self) -> tuple:
         return tuple(ph for ph in self.order.elements() if ph in self.pieces)
@@ -65,7 +91,7 @@ class StabilityData:
         phases = [Phase.integer(i + 1) for i in range(len(seq))]
         return StabilityData(ExplicitOrder(phases), dict(zip(phases, seq)))
 
-    def to_json(self, ambient=None) -> dict:
+    def to_json(self) -> dict:
         return {
             "order": [ph.encode() for ph in self.phases()],
             "pieces": {ph.encode(): [str(m) for m in canon_members(self.pieces[ph])]
@@ -73,9 +99,12 @@ class StabilityData:
         }
 
     @staticmethod
-    def from_json(doc: dict, ambient) -> "StabilityData":
-        phases = [Phase.parse(s) for s in doc["order"]]
-        pieces = {Phase.parse(k): frozenset(ambient.parse(m) for m in v)
+    def from_json(doc, ambient) -> "StabilityData":
+        if not isinstance(doc, dict) or not isinstance(doc.get("pieces"), dict):
+            raise FormatError('a datum is an object with "order" and "pieces" members')
+        phases = [Phase.parse(s) for s in json_strings(doc.get("order"), '"order"')]
+        pieces = {Phase.parse(k): frozenset(ambient.parse(m)
+                                            for m in json_strings(v, f"piece {k!r}"))
                   for k, v in doc["pieces"].items()}
         return StabilityData(ExplicitOrder(phases), pieces)
 
@@ -118,11 +147,110 @@ class ValidationReport:
 
 # -- HN machinery ---------------------------------------------------------
 
-def _phase_index(sd: StabilityData) -> dict:
-    return {ph: i for i, ph in enumerate(sd.order.elements())}
+class HNSearch:
+    """The HN search of one datum over one ambient.
+
+    Holds the canonical datum, `owner` (carrier id -> index of the lowest
+    phase whose piece holds it, or -1), one mask per phase of the ids it
+    owns, and the chain memo keyed by extended-space object.  Chains are
+    tuples of (phase, sorted factors, upto) steps, top phase first.
+    """
+
+    def __init__(self, ambient, sd: StabilityData):
+        self.ambient = ambient
+        self.canon = sd.canonicalized()
+        self.phases = self.canon.phases()
+        self.pidx = {ph: i for i, ph in enumerate(self.phases)}
+        self.index = ctx_for(ambient).index
+        self.owner = [-1] * len(self.index)
+        self.masks = [0] * len(self.phases)
+        for p, ph in enumerate(self.phases):
+            for m in self.canon.pieces[ph]:
+                i = self.index.get(m)
+                if i is None:
+                    raise StabilityError(f"piece at phase {ph} contains {m}, not in the carrier")
+                if self.owner[i] < 0:
+                    self.owner[i] = p
+                    self.masks[p] |= 1 << i
+        self.memo = {}
+
+    def chains(self, x) -> tuple:
+        """All decreasing-phase chain decompositions of x, sorted by str."""
+        try:
+            return self._chains(x)
+        except BaseException:
+            self.memo.clear()  # in-progress entries hold the () cycle guard
+            raise
+
+    def _quotient_phase(self, quots) -> int:
+        """Index of the one phase owning every quotient, or -1."""
+        qmask = 0
+        for q in quots:
+            i = self.index.get(self.ambient.embed(q))
+            if i is None:
+                return -1
+            qmask |= 1 << i
+        if not qmask:
+            return -1
+        p = self.owner[(qmask & -qmask).bit_length() - 1]
+        return p if p >= 0 and not qmask & ~self.masks[p] else -1
+
+    def _chains(self, x) -> tuple:
+        memo = self.memo
+        if x in memo:
+            return memo[x]
+        memo[x] = ()
+        phases, pidx = self.phases, self.pidx
+        results = set()
+        i = self.index.get(self.ambient.embed(x))
+        if i is not None and self.owner[i] >= 0:
+            results.add(((phases[self.owner[i]], (x,), (x,)),))
+        for subs, quots in self.ambient.decompositions(x):
+            p = self._quotient_phase(quots)
+            if p < 0:
+                continue
+            step = None
+            sub_chains = self._chains(subs[0]) if len(subs) == 1 else self._merged(x, subs)
+            for chain_s in sub_chains:
+                if pidx[chain_s[-1][0]] > p:
+                    if step is None:
+                        step = (phases[p], tuple(sorted(quots, key=str)), (x,))
+                    results.add(chain_s + (step,))
+        memo[x] = tuple(results) if len(results) < 2 else tuple(sorted(results, key=str))
+        return memo[x]
+
+    def _merged(self, x, subs) -> tuple:
+        """Chains of the direct sum of `subs`: one per pick of summand chains."""
+        per = [self._chains(s) for s in subs]
+        if any(not c for c in per):
+            return ()
+        combos = 1
+        for c in per:
+            combos *= len(c)
+        if combos > _HN_COMBO_CAP:
+            raise HNBoundError(f"HN search of {x}: {combos} combinations of subobject chains "
+                               f"exceed the cap {_HN_COMBO_CAP}")
+        pidx = self.pidx
+        merged = set()
+        for pick in itertools.product(*per):
+            by_phase = {}
+            for chain in pick:
+                for ph, fac, _ in chain:
+                    by_phase.setdefault(ph, []).extend(fac)
+            order = sorted(by_phase, key=lambda p: -pidx[p])
+            merged.add(tuple((ph, tuple(sorted(by_phase[ph], key=str)), None) for ph in order))
+        return tuple(merged)
 
 
-def _hn_chains(ambient, sd, x, memo, piece_of, pidx):
+def _hn_chains_reference(ambient, sd: StabilityData, x) -> tuple:
+    """Test oracle for `hn_chains`: the descriptor-based search with a fresh
+    memo, testing quotients through `piece_of_map`."""
+    sd = sd.canonicalized()
+    pidx = {ph: i for i, ph in enumerate(sd.order.elements())}
+    return _reference_chains(ambient, sd, x, {}, sd.piece_of_map(), pidx)
+
+
+def _reference_chains(ambient, sd, x, memo, piece_of, pidx):
     if x in memo:
         return memo[x]
     memo[x] = ()
@@ -137,17 +265,17 @@ def _hn_chains(ambient, sd, x, memo, piece_of, pidx):
             continue
         qph = next(iter(qphases))
         quots_c = tuple(sorted(quots, key=str))
-        for chain_s in _hn_chains_multiset(ambient, sd, subs, memo, piece_of, pidx):
+        for chain_s in _reference_multiset(ambient, sd, subs, memo, piece_of, pidx):
             if pidx[chain_s[-1][0]] > pidx[qph]:
                 results.add(chain_s + ((qph, quots_c, (x,)),))
     memo[x] = tuple(sorted(results, key=str))
     return memo[x]
 
 
-def _hn_chains_multiset(ambient, sd, subs, memo, piece_of, pidx):
+def _reference_multiset(ambient, sd, subs, memo, piece_of, pidx):
     if len(subs) == 1:
-        return _hn_chains(ambient, sd, subs[0], memo, piece_of, pidx)
-    per = [_hn_chains(ambient, sd, s, memo, piece_of, pidx) for s in subs]
+        return _reference_chains(ambient, sd, subs[0], memo, piece_of, pidx)
+    per = [_reference_chains(ambient, sd, s, memo, piece_of, pidx) for s in subs]
     if any(not c for c in per):
         return ()
     combos = 1
@@ -168,8 +296,7 @@ def _hn_chains_multiset(ambient, sd, subs, memo, piece_of, pidx):
 
 def hn_chains(ambient, sd: StabilityData, x) -> tuple:
     """All decreasing-phase chain decompositions of x (unique iff sd valid)."""
-    sd = sd.canonicalized()
-    return _hn_chains(ambient, sd, x, {}, sd.piece_of_map(), _phase_index(sd))
+    return sd.hn_search(ambient).chains(x)
 
 
 def hn_filtration(ambient, sd: StabilityData, x) -> HNFiltration:
@@ -187,13 +314,9 @@ def hn_filtration(ambient, sd: StabilityData, x) -> HNFiltration:
 # -- validation ------------------------------------------------------------
 
 def validate(ambient, sd: StabilityData, check_hn: bool = True) -> ValidationReport:
-    ctx = ctx_for(ambient)
+    search = sd.hn_search(ambient)
     report = ValidationReport(valid=True)
-    for ph, members in sd.pieces.items():
-        for m in members:
-            if m not in ctx.index:
-                raise StabilityError(f"piece at phase {ph} contains {m}, not in the carrier")
-    sd = sd.canonicalized()
+    sd = search.canon
     phases = sd.phases()
     for ph in phases:
         if not is_closed(ambient, sd.pieces[ph]):
@@ -211,11 +334,18 @@ def validate(ambient, sd: StabilityData, check_hn: bool = True) -> ValidationRep
                     if ambient.hom_nonzero(x, y):
                         report.hom_violations.append((hi, x, lo, y))
     if check_hn and not report.hom_violations and not report.piece_issues:
-        memo, piece_of, pidx = {}, sd.piece_of_map(), _phase_index(sd)
         for x in ambient.hn_scope():
-            if not _hn_chains(ambient, sd, x, memo, piece_of, pidx):
+            if not search.chains(x):
                 report.hn_failures.append(x)
     report.valid = not (report.hom_violations or report.hn_failures or report.piece_issues)
+    return report
+
+
+def _validate_unkept(ambient, sd: StabilityData) -> ValidationReport:
+    """`validate`, then release the datum's HN memo: enumerations return
+    hundreds of data and would otherwise keep every memo alive."""
+    report = validate(ambient, sd)
+    sd._search = None
     return report
 
 
@@ -460,7 +590,7 @@ def _valid_data_over_pieces(ambient, pieces_pool, mandatory=None):
                     phases = [Phase.integer(i + 1) for i in range(len(order))]
                     sd = StabilityData(ExplicitOrder(phases),
                                        {phases[k]: pool[i] for k, i in enumerate(order)})
-                    report = validate(ambient, sd)
+                    report = _validate_unkept(ambient, sd)
                     if report.valid:
                         results.append(sd)
         for i in range(start, npool):
@@ -520,7 +650,7 @@ def enumerate_finest(ambient, upto_tau: bool = False, bound: int = 64) -> list:
         if t == ctx.full_mask:
             phases = [Phase.integer(i + 1) for i in range(len(pieces))]
             sd = StabilityData(ExplicitOrder(phases), dict(zip(phases, reversed(pieces))))
-            report = validate(ambient, sd)
+            report = _validate_unkept(ambient, sd)
             if not (all(pieces) and report.valid and is_finest(ambient, sd)[0]):
                 raise StabilityError(f"maximal chain gives {sd}, which is not a finest "
                                      f"valid datum: {report.summary()}")

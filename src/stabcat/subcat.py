@@ -19,10 +19,9 @@ class EnumerationBoundError(SubcatError):
 
 
 class CarrierContext:
-    """Cached hom/extension tables for one ambient, as bitmasks."""
+    """Hom/extension tables for one ambient, as bitmasks."""
 
     def __init__(self, ambient):
-        self.ambient = ambient
         self.carrier = tuple(ambient.carrier())
         self.index = {d: i for i, d in enumerate(self.carrier)}
         n = len(self.carrier)
@@ -94,15 +93,12 @@ class CarrierContext:
         return self.full_mask & ~hit
 
 
-_CTX_CACHE = {}
-
-
 def ctx_for(ambient) -> CarrierContext:
-    key = id(ambient)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None or ctx.ambient is not ambient:
-        ctx = CarrierContext(ambient)
-        _CTX_CACHE[key] = ctx
+    """The ambient's carrier context, built on first use and stored on the
+    ambient, so that it lives exactly as long as the ambient."""
+    ctx = getattr(ambient, "_carrier_ctx", None)
+    if ctx is None:
+        ctx = ambient._carrier_ctx = CarrierContext(ambient)
     return ctx
 
 

@@ -31,9 +31,13 @@ class TorsionPair:
                 "F": [str(m) for m in canon_members(self.f)]}
 
     @staticmethod
-    def from_json(doc: dict, ambient) -> "TorsionPair":
-        return TorsionPair(frozenset(ambient.parse(m) for m in doc["T"]),
-                           frozenset(ambient.parse(m) for m in doc["F"]))
+    def from_json(doc, ambient) -> "TorsionPair":
+        from .stability import FormatError, json_strings
+
+        if not isinstance(doc, dict):
+            raise FormatError('a torsion pair is an object with "T" and "F" members')
+        return TorsionPair(frozenset(ambient.parse(m) for m in json_strings(doc.get("T"), '"T"')),
+                           frozenset(ambient.parse(m) for m in json_strings(doc.get("F"), '"F"')))
 
 
 @dataclass

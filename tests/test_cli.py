@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "stabcat.cli"]
 
 
@@ -150,3 +152,43 @@ def test_verify_table_mismatch_prints_diff(monkeypatch):
     monkeypatch.setattr(tables, "golden_text", fake_golden)
     ok, diffs = tables.verify_table("a2-torsion")
     assert not ok and any("not in golden" in d for d in diffs)
+
+
+@pytest.mark.parametrize("command", ["validate", "hn"])
+@pytest.mark.parametrize("doc", [{"order": ["1"]}, {"pieces": {"1": ["S1"]}}, [1, 2],
+                                 {"order": ["1"], "pieces": {"1": [5]}}, 7],
+                         ids=["no-pieces", "no-order", "list", "non-string", "number"])
+def test_malformed_datum_exit_two(tmp_path, command, doc):
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(doc))
+    extra = ["--object", "S1"] if command == "hn" else []
+    out = run_cli(command, "--ambient", "an:2", "--data", str(data), *extra)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+
+
+def test_malformed_torsion_pair_exit_two(tmp_path):
+    data = tmp_path / "pair.json"
+    data.write_text(json.dumps({"T": ["S1"], "F": "S2"}))
+    out = run_cli("validate", "--ambient", "an:2", "--data", str(data))
+    assert out.returncode == 2
+    assert out.stderr.strip() == 'error: "F" must be a list of strings'
+
+
+def test_hn_combination_cap_exit_four(tmp_path, monkeypatch, capsys):
+    import stabcat.stability as stability
+    from stabcat.cli import main
+    from stabcat.sheaves.kronecker import KroneckerAmbient, finest_kron_directing
+
+    spec = "kronecker:window=6:points=3"
+    data = tmp_path / "kron.json"
+    data.write_text(json.dumps(finest_kron_directing(KroneckerAmbient(6, 3)).to_json()))
+    monkeypatch.setattr(stability, "_HN_COMBO_CAP", 0)
+    for command in (["validate"], ["hn", "--object", "P_3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--ambient", spec, "--data", str(data), *command[1:]])
+        assert exc.value.code == 4
+        err = capsys.readouterr().err.strip()
+        assert err.splitlines() == [err]
+        assert "combinations of subobject chains exceed the cap 0" in err

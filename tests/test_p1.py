@@ -4,8 +4,7 @@ import pytest
 
 from stabcat.ambient import AmbientError, WindowError
 from stabcat.sheaves.p1 import (P1Ambient, P1Line, P1Tor, finest_p1, slope_data_p1,
-                                torsion_families_p1, torsion_family_degree,
-                                torsion_family_points)
+                                torsion_family_degree, torsion_family_points)
 from stabcat.stability import enumerate_finest, equivalent, is_coarser, is_finest, validate
 from stabcat.torsion import validate_torsion_pair
 
@@ -78,9 +77,8 @@ def test_torsion_families(amb):
         assert P1Line(n) in pair.f and P1Line(n + 1) in pair.t
 
 
-def test_torsion_families_wrapper(amb):
-    rows = torsion_families_p1(amb, ("0", "1"), 0)
-    assert len(rows) == 2
+def test_torsion_family_rows(amb):
+    rows = [torsion_family_points(amb, ("0", "1")), torsion_family_degree(amb, 0)]
     for pair in rows:
         assert validate_torsion_pair(amb, pair.t, pair.f).valid
 

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,3 +121,14 @@ def test_enumerate_finitely_many_t3():
     sets = enumerate_ext_closed(TubeAmbient(3))
     assert len(sets) == len({frozenset(s) for s in sets})
     assert all(is_closed(TubeAmbient(3), s) for s in sets)
+
+
+def test_carrier_context_lives_with_its_ambient():
+    """The context is stored on the ambient; dropped ambients are freed."""
+    refs = []
+    for _ in range(50):
+        amb = IntervalAmbient(3)
+        assert subcat.ctx_for(amb) is subcat.ctx_for(amb)
+        refs.append(weakref.ref(amb))
+        del amb
+    assert all(r() is None for r in refs)
