@@ -8,7 +8,7 @@ decided through truncation.  Sheaf-window ambients live in stabcat.sheaves.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import wraps
 
 from . import tube
 from .intervals import (all_intervals, chain_splits_interval, hom_nonzero_interval,
@@ -25,6 +25,25 @@ def compositions(total: int, parts: int) -> list:
         return [(total,)] if parts == 1 else ([()] if total == 0 else [])
     return [(first,) + rest for first in range(total + 1)
             for rest in compositions(total - first, parts - 1)]
+
+
+def ambient_memo(method):
+    """Memoise a method on its positional arguments in a dict stored on the
+    instance, so the cache is freed with the ambient; `functools.lru_cache`
+    on a method would key a class-level cache by `self` and keep every
+    instance alive."""
+    slot = f"_memo_{method.__name__}"
+
+    @wraps(method)
+    def memoised(self, *args):
+        memo = self.__dict__.setdefault(slot, {})
+        try:
+            return memo[args]
+        except KeyError:
+            out = memo[args] = method(self, *args)
+            return out
+
+    return memoised
 
 
 class AmbientError(ValueError):
@@ -123,7 +142,7 @@ class TubeAmbient(Ambient):
         a, b = self._as_rep(x), self._as_rep(y)
         return tube.hom_nonzero(TubeIndec(self.n, a.j, a.rt), TubeIndec(self.n, b.j, b.rt))
 
-    @lru_cache(maxsize=None)
+    @ambient_memo
     def _middle_cached(self, a: SegmentRep, b: SegmentRep) -> frozenset:
         out = set()
         for ai in a.instances(FAMILY_INSTANCES):

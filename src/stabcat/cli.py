@@ -17,6 +17,7 @@ import sys
 from .ambient import AmbientError, WindowError
 from .ambients import parse_ambient
 from .checks import SUITES, run_suite
+from .intervals import IntervalError
 from .oracle import BudgetExceededError
 from .phases import OrderError
 from .stability import (FormatError, StabilityData, enumerate_finest, equivalent,
@@ -25,6 +26,7 @@ from .subcat import EnumerationBoundError, SubcatError
 from .tables import TABLE_AMBIENTS, verify_table
 from .torsion import (TorsionPair, classify_tube_torsion_pairs, enumerate_torsion_pairs,
                       pairs_to_markdown, torsion_pairs_from_finest, validate_torsion_pair)
+from .tube import TubeError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -232,7 +234,6 @@ def build_parser():
 
     p = sub.add_parser("verify-table", help="recompute a paper table and diff the golden")
     p.add_argument("table", choices=sorted(TABLE_AMBIENTS))
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify_table)
 
     p = sub.add_parser("oracle-check", help="run a linear-algebra cross-check suite")
@@ -259,7 +260,7 @@ def main(argv=None):
     except WindowError as exc:
         print(f"window violation: {exc}", file=sys.stderr)
         code = EXIT_WINDOW
-    except (OrderError, AmbientError, SubcatError, FormatError) as exc:
+    except (OrderError, AmbientError, SubcatError, FormatError, IntervalError, TubeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PARSE
     except ValueError as exc:

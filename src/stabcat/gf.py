@@ -1,12 +1,15 @@
 """Dense linear algebra over the prime fields GF(2), GF(3), GF(5).
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Everything here
-is exact; no floating point enters the oracle.
+A matrix is a list of row lists with entries in 0..p-1; a vector is one such
+row.  A matrix with no rows does not know its column count, so the functions
+that can meet one (`transpose`, `matmul`, `nullspace`, `solve_many`,
+`column_space_complement`) take it explicitly.  Everything here is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import combinations, product
 
 PRIMES = (2, 3, 5)
 
@@ -20,120 +23,145 @@ def check_prime(p: int):
         raise FieldError(f"unsupported prime {p}; pick one of {PRIMES}")
 
 
-def mat(rows, p: int) -> np.ndarray:
-    return np.asarray(rows, dtype=np.int64) % p
+def mat(rows, p: int) -> list:
+    return [[int(x) % p for x in row] for row in rows]
 
 
-def zeros(r: int, c: int) -> np.ndarray:
-    return np.zeros((r, c), dtype=np.int64)
+def zeros(r: int, c: int) -> list:
+    return [[0] * c for _ in range(r)]
 
 
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+def eye(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
+def transpose(a: list, cols: int) -> list:
+    """The cols x len(a) transpose of a matrix with `cols` columns."""
+    if not a:
+        return [[] for _ in range(cols)]
+    return [list(col) for col in zip(*a)]
+
+
+def matvecs(a: list, vectors, p: int) -> list:
+    """a @ v for each vector v."""
+    return [[sum(x * y for x, y in zip(row, v)) % p for row in a] for v in vectors]
+
+
+def matmul(a: list, b: list, cols: int, p: int) -> list:
+    """a @ b, where b has `cols` columns."""
+    return transpose(matvecs(a, transpose(b, cols), p), len(a))
 
 
 def inv_scalar(x: int, p: int) -> int:
     return pow(int(x), p - 2, p)
 
 
-def rref(a: np.ndarray, p: int):
+def rref(a: list, p: int):
     """Row-reduce a copy of `a`; returns (reduced matrix, pivot column list)."""
-    m = a.copy() % p
-    rows, cols = m.shape
+    m = [list(row) for row in a]
+    nrows = len(m)
     pivots = []
+    if not nrows:
+        return m, pivots
     r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_rows = np.nonzero(m[r:, c])[0]
-        if pivot_rows.size == 0:
+    for c in range(len(m[0])):
+        pr = r
+        while pr < nrows and not m[pr][c]:
+            pr += 1
+        if pr == nrows:
             continue
-        pr = r + int(pivot_rows[0])
+        row = m[pr]
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * inv_scalar(m[r, c], p)) % p
-        for other in range(rows):
-            if other != r and m[other, c]:
-                m[other] = (m[other] - m[other, c] * m[r]) % p
+            m[pr] = m[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = [x * inv % p for x in row]
+        m[r] = row
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
+        if r == nrows:
+            break
     return m, pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+def rank(a: list, p: int) -> int:
+    """Rank by forward elimination (no back-substitution)."""
+    m = [row for row in a if any(row)]
+    r = 0
+    while m:
+        row = m.pop()
+        c = next(i for i, x in enumerate(row) if x)
+        inv = pow(row[c], p - 2, p)
+        rest = []
+        for other in m:
+            f = other[c]
+            if f:
+                f = f * inv % p
+                other = [(x - f * y) % p for x, y in zip(other, row)]
+                if not any(other):
+                    continue
+            rest.append(other)
+        m = rest
+        r += 1
+    return r
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel, one solution per row."""
-    rows, cols = a.shape
-    if cols == 0:
-        return zeros(0, 0)
-    if rows == 0:
+def nullspace(a: list, cols: int, p: int) -> list:
+    """Basis of the right kernel of a matrix with `cols` columns, one
+    solution per row."""
+    if not a:
         return eye(cols)
     r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(len(free), cols)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-r[row_idx, fc]) % p
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        x = [0] * cols
+        x[fc] = 1
+        for row, pc in zip(r, pivots):
+            x[pc] = -row[fc] % p
+        basis.append(x)
     return basis
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution x of a @ x = b, or None."""
-    rows, cols = a.shape
-    aug = np.concatenate([a % p, (b % p).reshape(rows, 1)], axis=1)
+def solve_many(a: list, bs, cols: int, p: int):
+    """One solution x of a @ x = b for each vector b in `bs`, where a has
+    `cols` columns; None if any b is unsolvable."""
+    bs = list(bs)
+    if not bs:
+        return []
+    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(a)]
     r, pivots = rref(aug, p)
-    if cols in pivots:
+    if pivots and pivots[-1] >= cols:
         return None
-    x = zeros(cols, 1)[:, 0]
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, cols]
-    return x
+    xs = []
+    for j in range(cols, cols + len(bs)):
+        x = [0] * cols
+        for row, pc in zip(r, pivots):
+            x[pc] = row[j]
+        xs.append(x)
+    return xs
 
 
-def column_space_complement(a: np.ndarray, p: int) -> np.ndarray:
-    """Standard basis vectors completing col(a) to the full space (as columns)."""
-    rows = a.shape[0]
-    aug = np.concatenate([a % p, eye(rows)], axis=1)
+def column_space_complement(a: list, cols: int, p: int) -> list:
+    """Indices i, ascending, of the standard basis vectors e_i that complete
+    the column space of `a` (with `cols` columns) to the full space; each
+    e_i is taken when it is not in col(a) + span(e_j, j < i)."""
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     _, pivots = rref(aug, p)
-    extra = [c - a.shape[1] for c in pivots if c >= a.shape[1]]
-    out = zeros(rows, len(extra))
-    for k, i in enumerate(extra):
-        out[i, k] = 1
-    return out
-
-
-def solve_many(a: np.ndarray, b: np.ndarray, p: int):
-    """Solutions X with a @ X = b column by column; None if any is unsolvable."""
-    rows, cols = a.shape
-    k = b.shape[1]
-    if k == 0:
-        return zeros(cols, 0)
-    aug = np.concatenate([a % p, b % p], axis=1)
-    r, pivots = rref(aug, p)
-    if any(c >= cols for c in pivots):
-        return None
-    x = zeros(cols, k)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, cols:]
-    return x
+    return [c - cols for c in pivots if c >= cols]
 
 
 def subspaces_fixed(d: int, k: int, p: int):
     """All k-dimensional subspaces of GF(p)^d as RREF row-basis matrices."""
-    from itertools import combinations, product
-
     if k == 0:
-        yield zeros(0, d)
+        yield []
         return
     if k > d:
         return
@@ -146,7 +174,7 @@ def subspaces_fixed(d: int, k: int, p: int):
         for values in product(range(p), repeat=len(free_cells)):
             m = zeros(k, d)
             for i, pc in enumerate(pivots):
-                m[i, pc] = 1
+                m[i][pc] = 1
             for (i, c), v in zip(free_cells, values):
-                m[i, c] = v
+                m[i][c] = v
             yield m

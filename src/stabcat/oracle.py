@@ -14,8 +14,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from math import lcm
 
 from . import gf
 from .intervals import IntervalModule, all_intervals
@@ -69,6 +68,9 @@ def arrows(shape):
 
 
 class QuiverRep:
+    """Dimension per vertex and one GF(p) matrix (a list of rows, see `gf`)
+    per arrow, of shape dims[target] x dims[source]."""
+
     def __init__(self, shape, p, dims, maps, check: bool = True):
         gf.check_prime(p)
         self.shape = shape
@@ -76,25 +78,27 @@ class QuiverRep:
         self.dims = dict(dims)
         self.maps = {}
         for key, src, tgt in arrows(shape):
+            rows, cols = self.dims[tgt], self.dims[src]
             m = maps.get(key)
             if m is None:
-                m = gf.zeros(self.dims[tgt], self.dims[src])
-            m = np.asarray(m, dtype=np.int64) % p
-            if m.shape != (self.dims[tgt], self.dims[src]):
-                raise OracleError(f"map {key} has shape {m.shape}, expected {(self.dims[tgt], self.dims[src])}")
+                m = gf.zeros(rows, cols)
+            m = gf.mat(m, p)
+            if len(m) != rows or any(len(row) != cols for row in m):
+                got = (len(m), len(m[0]) if m else 0)
+                raise OracleError(f"map {key} has shape {got}, expected {(rows, cols)}")
             self.maps[key] = m
         if check and shape[0] == "cyclic":
             self._check_nilpotent()
 
     def _check_nilpotent(self):
-        n = self.shape[1]
-        comp = gf.eye(self.dims[0])
+        n, d0 = self.shape[1], self.dims[0]
+        comp = gf.eye(d0)
         for v in ([0] + list(range(n - 1, 0, -1))):
-            comp = gf.matmul(self.maps[("c", v)], comp, self.p)
+            comp = gf.matmul(self.maps[("c", v)], comp, d0, self.p)
         power = comp
         for _ in range(self.total_dim()):
-            power = gf.matmul(power, comp, self.p)
-        if np.any(power):
+            power = gf.matmul(power, comp, d0, self.p)
+        if any(any(row) for row in power):
             raise OracleError("cyclic representation is not nilpotent")
 
     def total_dim(self) -> int:
@@ -116,12 +120,11 @@ def direct_sum(reps) -> QuiverRep:
     dims = {v: sum(r.dims[v] for r in reps) for v in vertices(shape)}
     maps = {}
     for key, src, tgt in arrows(shape):
-        m = gf.zeros(dims[tgt], dims[src])
-        ro = co = 0
+        m = []
+        co = 0
         for r in reps:
-            rt, cs = r.dims[tgt], r.dims[src]
-            m[ro:ro + rt, co:co + cs] = r.maps[key]
-            ro += rt
+            cs = r.dims[src]
+            m.extend([0] * co + row + [0] * (dims[src] - co - cs) for row in r.maps[key])
             co += cs
         maps[key] = m
     return QuiverRep(shape, p, dims, maps, check=False)
@@ -159,7 +162,7 @@ def _build_tube(x: TubeIndec, p: int) -> QuiverRep:
         m = gf.zeros(dims[tgt], dims[src])
         for k in slots[src]:
             if k > 1 and vertex_of[k - 1] == tgt:
-                m[pos[k - 1], pos[k]] = 1
+                m[pos[k - 1]][pos[k]] = 1
         maps[key] = m
     return QuiverRep(shape, p, dims, maps)
 
@@ -183,8 +186,8 @@ def _build_kronecker(descriptor, p: int) -> QuiverRep:
         u = gf.zeros(k, k - 1)
         v = gf.zeros(k, k - 1)
         for i in range(k - 1):
-            u[i, i] = 1
-            v[i + 1, i] = 1
+            u[i][i] = 1
+            v[i + 1][i] = 1
         return QuiverRep(shape, p, dims, {"u": u, "v": v})
     if kind == "I":
         k = descriptor[1]
@@ -192,8 +195,8 @@ def _build_kronecker(descriptor, p: int) -> QuiverRep:
         u = gf.zeros(k - 1, k)
         v = gf.zeros(k - 1, k)
         for i in range(k - 1):
-            u[i, i] = 1
-            v[i, i + 1] = 1
+            u[i][i] = 1
+            v[i][i + 1] = 1
         return QuiverRep(shape, p, dims, {"u": u, "v": v})
     if kind == "R":
         x, d = descriptor[1], descriptor[2]
@@ -201,72 +204,81 @@ def _build_kronecker(descriptor, p: int) -> QuiverRep:
         if x == "inf":
             u = gf.zeros(d, d)
             for i in range(d - 1):
-                u[i, i + 1] = 1
+                u[i][i + 1] = 1
             v = gf.eye(d)
         else:
             u = gf.eye(d)
-            v = (int(x) % p) * gf.eye(d) % p
+            v = [[int(x) * e % p for e in row] for row in gf.eye(d)]
             for i in range(d - 1):
-                v[i, i + 1] = 1
+                v[i][i + 1] = 1
         return QuiverRep(shape, p, dims, {"u": u, "v": v})
     raise OracleError(f"unknown kronecker descriptor {descriptor!r}")
 
 
 # -- Hom spaces ----------------------------------------------------------
 
-def hom_basis(r1: QuiverRep, r2: QuiverRep):
-    """Basis of intertwiners r1 -> r2, each a dict vertex -> matrix."""
+def _hom_system(r1: QuiverRep, r2: QuiverRep):
+    """(offsets, total, rows): the linear system whose right kernel is
+    Hom(r1, r2).  An unknown f is the concatenation over vertices v of the
+    row-major dims2[v] x dims1[v] blocks f_v, block v starting at offsets[v];
+    there is one equation (f_tgt m1 - m2 f_src)[i, jj] = 0 per arrow and
+    entry."""
     if r1.shape != r2.shape or r1.p != r2.p:
         raise OracleError("shape/field mismatch in Hom computation")
     p = r1.p
-    verts = vertices(r1.shape)
     offsets = {}
     total = 0
-    for v in verts:
+    for v in vertices(r1.shape):
         offsets[v] = total
         total += r2.dims[v] * r1.dims[v]
-    if total == 0:
-        return []
     rows = []
+    if total == 0:
+        return offsets, total, rows
     for key, src, tgt in arrows(r1.shape):
         m1, m2 = r1.maps[key], r2.maps[key]
+        d1t, d1s = r1.dims[tgt], r1.dims[src]
+        off_t, off_s = offsets[tgt], offsets[src]
         for i in range(r2.dims[tgt]):
-            for jj in range(r1.dims[src]):
-                row = gf.zeros(1, total)[0]
+            m2_row = m2[i]
+            for jj in range(d1s):
+                row = [0] * total
                 # (f_tgt @ m1)[i, jj]
-                for k in range(r1.dims[tgt]):
-                    row[offsets[tgt] + i * r1.dims[tgt] + k] += m1[k, jj]
+                base = off_t + i * d1t
+                for k in range(d1t):
+                    row[base + k] += m1[k][jj]
                 # -(m2 @ f_src)[i, jj]
-                for k in range(r2.dims[src]):
-                    row[offsets[src] + k * r1.dims[src] + jj] -= m2[i, k]
-                rows.append(row % p)
-    if rows:
-        ker = gf.nullspace(np.stack(rows), p)
-    else:
-        ker = gf.eye(total)
+                for k, x in enumerate(m2_row):
+                    row[off_s + k * d1s + jj] -= x
+                rows.append([x % p for x in row])
+    return offsets, total, rows
+
+
+def hom_basis(r1: QuiverRep, r2: QuiverRep):
+    """Basis of intertwiners r1 -> r2, each a dict vertex -> matrix."""
+    offsets, total, rows = _hom_system(r1, r2)
+    if total == 0:
+        return []
     basis = []
-    for sol in ker:
+    for sol in gf.nullspace(rows, total, r1.p):
         f = {}
-        for v in verts:
-            block = sol[offsets[v]: offsets[v] + r2.dims[v] * r1.dims[v]]
-            f[v] = block.reshape(r2.dims[v], r1.dims[v])
+        for v, off in offsets.items():
+            d1 = r1.dims[v]
+            f[v] = [sol[off + i * d1: off + (i + 1) * d1] for i in range(r2.dims[v])]
         basis.append(f)
     return basis
 
 
 def hom_dim(r1: QuiverRep, r2: QuiverRep) -> int:
-    return len(hom_basis(r1, r2))
+    _, total, rows = _hom_system(r1, r2)
+    return total - gf.rank(rows, r1.p)
 
 
 def socle_dims(r: QuiverRep):
     """Multiplicity of each simple in the socle: kernel of all out-arrows."""
     out = {}
     for v in vertices(r.shape):
-        stacks = [r.maps[key] for key, src, _ in arrows(r.shape) if src == v]
-        if not stacks:
-            out[v] = r.dims[v]
-        else:
-            out[v] = r.dims[v] - gf.rank(np.concatenate(stacks, axis=0), r.p)
+        stacked = [row for key, src, _ in arrows(r.shape) if src == v for row in r.maps[key]]
+        out[v] = r.dims[v] - gf.rank(stacked, r.p)
     return out
 
 
@@ -275,10 +287,8 @@ def top_dims(r: QuiverRep):
     out = {}
     for v in vertices(r.shape):
         stacks = [r.maps[key] for key, _, tgt in arrows(r.shape) if tgt == v]
-        if not stacks:
-            out[v] = r.dims[v]
-        else:
-            out[v] = r.dims[v] - gf.rank(np.concatenate(stacks, axis=1), r.p)
+        side_by_side = [sum(rows, []) for rows in zip(*stacks)]
+        out[v] = r.dims[v] - gf.rank(side_by_side, r.p)
     return out
 
 
@@ -311,31 +321,44 @@ def _hom_table(shape, p: int, max_len: int):
     return tuple(descs), table
 
 
-def _solve_integer_system(descs, table, fingerprint):
+@lru_cache(maxsize=None)
+def _fingerprint_inverse(shape, p: int, max_len: int):
+    """(inv, den) with inv / den the inverse of the Hom-dimension table
+    A[i][j] = dim Hom(descs[i], descs[j]) of `_hom_table`: inv is an integer
+    matrix and den a positive integer.  A module with multiplicities m has
+    the fingerprint b = A m, so m = inv b / den.  Raises OracleError if A is
+    singular."""
+    descs, table = _hom_table(shape, p, max_len)
     n = len(descs)
-    a = [[Fraction(table[(descs[i], descs[j])]) for j in range(n)] for i in range(n)]
-    b = [Fraction(fingerprint[d]) for d in descs]
-    # exact Gaussian elimination
+    # exact Gauss-Jordan elimination of [A | I]
+    a = [[Fraction(table[(descs[i], descs[j])]) for j in range(n)]
+         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise OracleError("fingerprint system is singular; raise the length bound")
         a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
         for r in range(n):
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] -= factor * b[col]
+    den = lcm(*(x.denominator for row in a for x in row[n:]))
+    return tuple(tuple(int(x * den) for x in row[n:]) for row in a), den
+
+
+def _solve_fingerprint(descs, inv, den, fingerprint):
+    """Multiplicities m = inv b / den of the fingerprint b, checked to be
+    non-negative integers."""
+    b = [fingerprint[d] for d in descs]
     mults = {}
-    for i, d in enumerate(descs):
-        if b[i].denominator != 1 or b[i] < 0:
+    for d, row in zip(descs, inv):
+        num = sum(x * y for x, y in zip(row, b))
+        if num % den or num < 0:
             raise OracleError(f"fingerprint solution not a nonnegative integer at {d}")
-        if b[i]:
-            mults[d] = int(b[i])
+        if num:
+            mults[d] = num // den
     return mults
 
 
@@ -347,15 +370,16 @@ def decompose(r: QuiverRep):
     if r.is_zero():
         return ()
     cache_key = (r.shape, r.p, tuple(sorted(r.dims.items())),
-                 tuple(sorted((k, m.tobytes()) for k, m in r.maps.items())))
+                 tuple(sorted((k, tuple(map(tuple, m))) for k, m in r.maps.items())))
     hit = _DECOMPOSE_CACHE.get(cache_key)
     if hit is not None:
         return hit
     max_len = r.total_dim()
-    descs, table = _hom_table(r.shape, r.p, max_len)
+    descs, _ = _hom_table(r.shape, r.p, max_len)
+    inv, den = _fingerprint_inverse(r.shape, r.p, max_len)
     reps = {d: build_indec(r.shape, d, r.p) for d in descs}
     fingerprint = {d: hom_dim(reps[d], r) for d in descs}
-    mults = _solve_integer_system(descs, table, fingerprint)
+    mults = _solve_fingerprint(descs, inv, den, fingerprint)
     out = []
     for d, m in mults.items():
         out.extend([d] * m)
@@ -411,15 +435,18 @@ def _projective_coeff_vectors(r, p):
 
 
 def _assemble(basis, coeffs, verts, p):
+    """The map sum(c * h), one matrix per vertex (None if every c is 0)."""
     f = {}
     for v in verts:
         acc = None
         for c, h in zip(coeffs, basis):
             if c == 0:
                 continue
-            term = (c * h[v]) % p
-            acc = term if acc is None else (acc + term) % p
-        f[v] = acc
+            if acc is None:
+                acc = [[c * x for x in row] for row in h[v]]
+            else:
+                acc = [[x + c * y for x, y in zip(ra, rh)] for ra, rh in zip(acc, h[v])]
+        f[v] = None if acc is None else [[x % p for x in row] for row in acc]
     return f
 
 
@@ -435,24 +462,32 @@ def _is_injective(f, r1, p):
 
 
 def cokernel_rep(f, r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
-    """Quotient of r2 by the image of the injective map f."""
+    """Quotient of r2 by the image of the injective map f.
+
+    At each vertex the image columns followed by standard basis vectors e_i
+    (i in the complement) form a basis of r2; the quotient has the e_i as
+    its basis, and an arrow sends e_i to the complement coordinates of the
+    image of e_i, that is of column i of r2's map."""
     p = r2.p
     verts = vertices(r2.shape)
     bases = {}
     comps = {}
     for v in verts:
-        img = f[v] if f[v] is not None else gf.zeros(r2.dims[v], 0)
-        comp = gf.column_space_complement(img, p)
-        bases[v] = np.concatenate([img, comp], axis=1)
+        d1, d2 = r1.dims[v], r2.dims[v]
+        img = f[v] if f[v] is not None else gf.zeros(d2, 0)
+        comp = gf.column_space_complement(img, d1, p)
+        bases[v] = [row + [int(i == e) for e in comp] for i, row in enumerate(img)]
         comps[v] = comp
-    dims = {v: comps[v].shape[1] for v in verts}
+    dims = {v: len(comps[v]) for v in verts}
     maps = {}
     for key, src, tgt in arrows(r2.shape):
-        image_cols = gf.matmul(r2.maps[key], comps[src], p)
-        coords = gf.solve_many(bases[tgt], image_cols, p)
+        m = r2.maps[key]
+        image_cols = [[row[e] for row in m] for e in comps[src]]
+        coords = gf.solve_many(bases[tgt], image_cols, r2.dims[tgt], p)
         if coords is None:
             raise OracleError("cokernel coordinates failed")
-        maps[key] = coords[r1.dims[tgt]:]
+        skip = r1.dims[tgt]
+        maps[key] = gf.transpose([x[skip:] for x in coords], dims[tgt])
     return QuiverRep(r2.shape, p, dims, maps, check=False)
 
 
@@ -482,13 +517,13 @@ def _submodules_with_dims(e_rep: QuiverRep, dims_query):
         bases = dict(zip(verts, combo))
         stable = True
         for key, src, tgt in arrows(e_rep.shape):
-            image = gf.matmul(e_rep.maps[key], bases[src].T, p)
+            if not bases[src]:
+                continue
+            image = gf.matvecs(e_rep.maps[key], bases[src], p)
             tgt_basis = bases[tgt]
-            if image.size:
-                stacked = np.concatenate([tgt_basis, image.T], axis=0)
-                if gf.rank(stacked, p) > tgt_basis.shape[0]:
-                    stable = False
-                    break
+            if gf.rank(tgt_basis + image, p) > len(tgt_basis):
+                stable = False
+                break
         if stable:
             out.append(bases)
     return out
@@ -498,16 +533,16 @@ def _sub_and_quotient(e_rep: QuiverRep, bases):
     """(submodule rep, quotient rep) for a stable subspace tuple."""
     p = e_rep.p
     verts = vertices(e_rep.shape)
-    dims = {v: bases[v].shape[0] for v in verts}
+    dims = {v: len(bases[v]) for v in verts}
+    inclusion = {v: gf.transpose(bases[v], e_rep.dims[v]) for v in verts}
     maps = {}
     for key, src, tgt in arrows(e_rep.shape):
-        image = gf.matmul(e_rep.maps[key], bases[src].T, p)
-        coords = gf.solve_many(bases[tgt].T, image, p)
+        image = gf.matvecs(e_rep.maps[key], bases[src], p)
+        coords = gf.solve_many(inclusion[tgt], image, dims[tgt], p)
         if coords is None:
             raise OracleError("submodule basis is not arrow-stable")
-        maps[key] = coords
+        maps[key] = gf.transpose(coords, dims[tgt])
     sub_rep = QuiverRep(e_rep.shape, p, dims, maps, check=False)
-    inclusion = {v: bases[v].T for v in verts}
     return sub_rep, cokernel_rep(inclusion, sub_rep, e_rep)
 
 
@@ -635,10 +670,9 @@ def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2,
         added = False
         members = sorted(current, key=str)
         sums = _multisets_up_to_length(shape, p, members, length_bound - 1)
-        for a_ms in sums:
-            a_len = sum(sum(_desc_dims(shape, d, p).values()) for d in a_ms)
-            for b_ms in sums:
-                b_len = sum(sum(_desc_dims(shape, d, p).values()) for d in b_ms)
+        lengths = [sum(sum(_desc_dims(shape, d, p).values()) for d in ms) for ms in sums]
+        for a_ms, a_len in zip(sums, lengths):
+            for b_ms, b_len in zip(sums, lengths):
                 if a_len + b_len > length_bound:
                     continue
                 for middle in middle_terms_of_sums(shape, a_ms, b_ms, p=p, budget=budget):

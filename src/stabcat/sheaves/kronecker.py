@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
-from ..ambient import Ambient, AmbientError, WindowError
+from ..ambient import Ambient, AmbientError, WindowError, ambient_memo
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -116,7 +115,7 @@ class KroneckerAmbient(Ambient):
             return d.d <= self.window
         return d.k <= self.window
 
-    @lru_cache(maxsize=None)
+    @ambient_memo
     def middle_terms(self, a, b) -> frozenset:
         out = set()
         for ms in self._middles(a, b):

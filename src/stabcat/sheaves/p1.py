@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
-from ..ambient import Ambient, AmbientError, WindowError, compositions
+from ..ambient import Ambient, AmbientError, WindowError, ambient_memo, compositions
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -84,7 +83,7 @@ class P1Ambient(Ambient):
             return False
         return a.x == b.x
 
-    @lru_cache(maxsize=None)
+    @ambient_memo
     def middle_terms(self, a, b) -> frozenset:
         out = set()
         for ai in self._instances(a):

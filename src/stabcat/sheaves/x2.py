@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .. import tube
-from ..ambient import Ambient, AmbientError, WindowError, compositions
+from ..ambient import Ambient, AmbientError, WindowError, ambient_memo, compositions
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -156,7 +155,7 @@ class X2Ambient(Ambient):
     def _line_in_carrier(self, dd: int) -> bool:
         return 2 * self.inner_lo <= dd <= 2 * self.hi + 1
 
-    @lru_cache(maxsize=None)
+    @ambient_memo
     def middle_terms(self, a, b) -> frozenset:
         out = set()
         for ai in self._instances(a):
@@ -205,7 +204,7 @@ class X2Ambient(Ambient):
                 out.append((X2Ord(a.x, a.t + b.t - s), X2Ord(a.x, s)))
         return out
 
-    @lru_cache(maxsize=None)
+    @ambient_memo
     def decompositions(self, d) -> tuple:
         if isinstance(d, X2Exc):
             return tuple(((_exc_back(s),), (_exc_back(q),))

@@ -106,7 +106,10 @@ class StabilityData:
         pieces = {Phase.parse(k): frozenset(ambient.parse(m)
                                             for m in json_strings(v, f"piece {k!r}"))
                   for k, v in doc["pieces"].items()}
-        return StabilityData(ExplicitOrder(phases), pieces)
+        try:
+            return StabilityData(ExplicitOrder(phases), pieces)
+        except StabilityError as exc:  # a piece at a phase outside the order
+            raise FormatError(str(exc)) from exc
 
     def __repr__(self):
         parts = [f"{ph}:{{{','.join(str(m) for m in canon_members(self.pieces[ph]))}}}"

@@ -31,3 +31,9 @@ def test_decompose_roundtrip_suite():
 def test_tube_middle_suite_gf2():
     result = checks.check_tube_middle_terms(p=2)
     assert result.ok, result.summary()
+
+
+def test_decompose_roundtrip_suite_gf3():
+    result = checks.check_decompose_roundtrip(samples=200, p=3)
+    assert result.ok, result.summary()
+    assert result.total == 800

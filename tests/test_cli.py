@@ -192,3 +192,27 @@ def test_hn_combination_cap_exit_four(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err.strip()
         assert err.splitlines() == [err]
         assert "combinations of subobject chains exceed the cap 0" in err
+
+
+@pytest.mark.parametrize("command, doc, extra, message", [
+    ("validate", {"order": ["1"], "pieces": {"1": ["S_9"]}}, [],
+     "error: bad interval [9,9] for A_2"),
+    ("hn", {"order": ["1", "2"], "pieces": {"1": ["S1"], "2": ["S2"]}}, ["--object", "S_9"],
+     "error: bad interval [9,9] for A_2"),
+    ("validate", {"order": ["1"], "pieces": {"2": ["S1"]}}, [],
+     "error: phase 2 is not carried by the order"),
+], ids=["bad-descriptor-in-datum", "bad-object", "phase-outside-order"])
+def test_bad_descriptor_or_phase_exit_two(tmp_path, command, doc, extra, message):
+    data = tmp_path / "sd.json"
+    data.write_text(json.dumps(doc))
+    out = run_cli(command, "--ambient", "an:2", "--data", str(data), *extra)
+    assert out.returncode == 2
+    assert out.stderr.strip() == message
+
+
+def test_bad_tube_descriptor_exit_two(tmp_path):
+    data = tmp_path / "sd.json"
+    data.write_text(json.dumps({"order": ["1"], "pieces": {"1": ["S0^(1)@2"]}}))
+    out = run_cli("hn", "--ambient", "tube:2", "--data", str(data), "--object", "S0^(1)@3")
+    assert out.returncode == 2
+    assert out.stderr.strip() == "error: descriptor 'S0^(1)@3' has rank 3, expected 2"

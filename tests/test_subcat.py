@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import stabcat.subcat as subcat
 from stabcat.ambient import IntervalAmbient, TubeAmbient
+from stabcat.sheaves import KroneckerAmbient, P1Ambient, X2Ambient
 from stabcat.stability import enumerate_finest
 from stabcat.subcat import (EnumerationBoundError, SubcatError, closure, enumerate_ext_closed,
                             enumerate_ext_closed_by_filter, is_closed, left_perp, right_perp)
@@ -132,3 +134,24 @@ def test_carrier_context_lives_with_its_ambient():
         refs.append(weakref.ref(amb))
         del amb
     assert all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TubeAmbient(2),
+    lambda: P1Ambient(-2, 2, 2),
+    lambda: X2Ambient(-1, 1, 1),
+    lambda: KroneckerAmbient(3, 2),
+], ids=["tube", "p1", "x2", "kronecker"])
+def test_method_caches_live_with_their_ambient(make):
+    """The middle-term and decomposition memos are stored on the ambient:
+    an ambient whose tables were built is freed once dropped."""
+    amb = make()
+    subcat.ctx_for(amb)
+    for x in amb.carrier():
+        amb.decompositions(x)
+    memos = [k for k in vars(amb) if k.startswith("_memo_")]
+    assert memos and all(vars(amb)[k] for k in memos)
+    ref = weakref.ref(amb)
+    del amb
+    gc.collect()
+    assert ref() is None
