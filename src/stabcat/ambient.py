@@ -1,6 +1,13 @@
 """Finite ambient models: the carrier of indecomposables together with the
 hom / extension / subobject data every engine consumes.
 
+The base class owns the extension sweep: a carrier member may stand for a
+periodic family of actual objects (`_instances`), and `middle_terms` and
+`carrier_decompositions` sweep those instances through the model's rules on
+actual objects (`_middles_actual`, `decompositions`), embed the results in
+the carrier and keep the ones inside it (`_in_carrier`).  A model supplies
+those rules, not the sweep.
+
 Tube carriers use segment representatives (lengths capped at 2n); validation
 additionally walks actual segments of length up to 3n, membership being
 decided through truncation.  Sheaf-window ambients live in stabcat.sheaves.
@@ -54,6 +61,14 @@ class WindowError(AmbientError):
     """A requested construction does not fit the configured window."""
 
 
+def positive(descriptor: str, digits: str) -> int:
+    """A length or index read from `descriptor`; AmbientError below 1."""
+    value = int(digits)
+    if value < 1:
+        raise AmbientError(f"length or index {value} is below 1 in {descriptor!r}")
+    return value
+
+
 class Ambient:
     """Interface shared by all finite models."""
 
@@ -70,8 +85,34 @@ class Ambient:
     def hom_nonzero(self, x, y) -> bool:
         raise NotImplementedError
 
-    def middle_terms(self, a, b) -> frozenset:
+    def _instances(self, x) -> list:
+        """Actual objects the carrier member x stands for: FAMILY_INSTANCES
+        members of a periodic family, else x alone."""
+        return [x]
+
+    def _middles_actual(self, a, b):
+        """Middle-term multisets of non-split 0 -> a -> E -> b -> 0 between
+        actual objects."""
         raise NotImplementedError
+
+    def _in_carrier(self, x) -> bool:
+        """Whether an embedded object lies in the carrier."""
+        return True
+
+    @ambient_memo
+    def middle_terms(self, a, b) -> frozenset:
+        """Middle-term multisets of a and b over all their instances, in
+        carrier space; multisets leaving the carrier are dropped."""
+        embed, keep = self.embed, self._in_carrier
+        b_instances = self._instances(b)
+        out = set()
+        for ai in self._instances(a):
+            for bi in b_instances:
+                for ms in self._middles_actual(ai, bi):
+                    emb = [embed(c) for c in ms]
+                    if all(map(keep, emb)):
+                        out.add(tuple(sorted(emb, key=str)))
+        return frozenset(out)
 
     def decompositions(self, x) -> tuple:
         """Proper (subobject multiset, quotient multiset) pairs of the
@@ -86,12 +127,16 @@ class Ambient:
         """Extended-space object -> carrier member (identity by default)."""
         return x
 
+    @ambient_memo
     def carrier_decompositions(self, x) -> tuple:
-        """(sub, quotient) pairs of a carrier member, in carrier space."""
-        return tuple(
-            (tuple(self.embed(s) for s in subs), tuple(self.embed(q) for q in quots))
-            for subs, quots in self.decompositions(x)
-        )
+        """(sub, quotient) pairs of the instances of x, in carrier space,
+        each once."""
+        embed = self.embed
+        seen = {}
+        for inst in self._instances(x):
+            for subs, quots in self.decompositions(inst):
+                seen[(tuple(map(embed, subs)), tuple(map(embed, quots)))] = None
+        return tuple(seen)
 
     def quotient_components(self, x) -> frozenset:
         return frozenset(q for _, quots in self.carrier_decompositions(x) for q in quots)
@@ -142,17 +187,11 @@ class TubeAmbient(Ambient):
         a, b = self._as_rep(x), self._as_rep(y)
         return tube.hom_nonzero(TubeIndec(self.n, a.j, a.rt), TubeIndec(self.n, b.j, b.rt))
 
-    @ambient_memo
-    def _middle_cached(self, a: SegmentRep, b: SegmentRep) -> frozenset:
-        out = set()
-        for ai in a.instances(FAMILY_INSTANCES):
-            for bi in b.instances(FAMILY_INSTANCES):
-                for multiset in tube.middle_terms(ai, bi):
-                    out.add(tuple(sorted((truncate_rep(c) for c in multiset), key=str)))
-        return frozenset(out)
+    def _instances(self, x) -> list:
+        return self._as_rep(x).instances(FAMILY_INSTANCES)
 
-    def middle_terms(self, a, b) -> frozenset:
-        return self._middle_cached(self._as_rep(a), self._as_rep(b))
+    def _middles_actual(self, a, b):
+        return tube.middle_terms(a, b)
 
     def hn_scope(self) -> tuple:
         return tuple(TubeIndec(self.n, j, t)
@@ -167,16 +206,6 @@ class TubeAmbient(Ambient):
         if isinstance(x, SegmentRep):
             x = x.instances(1)[0]
         return tuple(((s,), (q,)) for s, q in tube.chain_splits(x))
-
-    def carrier_decompositions(self, x) -> tuple:
-        rep = self._as_rep(x)
-        seen = []
-        for inst in rep.instances(FAMILY_INSTANCES):
-            for s, q in tube.chain_splits(inst):
-                pair = ((truncate_rep(s),), (truncate_rep(q),))
-                if pair not in seen:
-                    seen.append(pair)
-        return tuple(seen)
 
     def tau(self, x):
         if isinstance(x, SegmentRep):
@@ -212,7 +241,7 @@ class IntervalAmbient(Ambient):
     def hom_nonzero(self, x, y) -> bool:
         return hom_nonzero_interval(x, y)
 
-    def middle_terms(self, a, b) -> frozenset:
+    def _middles_actual(self, a, b):
         return middle_terms_interval(a, b)
 
     def decompositions(self, x) -> tuple:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .phases import ExplicitOrder
-
 
 class IntervalError(ValueError):
     pass
@@ -62,17 +60,6 @@ def parse_interval(s: str, n: int | None = None) -> IntervalModule:
     raise IntervalError(f"cannot parse interval descriptor {s!r}")
 
 
-def alias_name(x: IntervalModule) -> str:
-    """Paper-style name when one exists, else the bracket form."""
-    if x.a == x.b:
-        return f"S{x.a}"
-    if x.b == x.n:
-        return f"P{x.a}"
-    if x.a == 1:
-        return f"I{x.b}"
-    return f"M[{x.a},{x.b}]"
-
-
 def all_intervals(n: int) -> list:
     return [IntervalModule(n, a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
 
@@ -105,35 +92,6 @@ def chain_splits_interval(x: IntervalModule) -> list:
     for y in range(x.a + 1, x.b + 1):
         out.append((IntervalModule(x.n, y, x.b), IntervalModule(x.n, x.a, y - 1)))
     return out
-
-
-def directing_order(n: int, max_size: int = 64) -> ExplicitOrder:
-    """A total order on intervals with Hom(M_phi', M_phi'') = 0 for phi' > phi''.
-
-    Kahn's algorithm on the Hom digraph; ties broken by (b desc, a desc) for
-    deterministic output.  Any Hom-compatible order passes the property suite.
-    """
-    if n > max_size:
-        raise IntervalError(f"A_{n} exceeds configured bound {max_size}")
-    mods = all_intervals(n)
-    succs = {x: [y for y in mods if y != x and hom_nonzero_interval(x, y)] for x in mods}
-    indeg = {x: 0 for x in mods}
-    for x in mods:
-        for y in succs[x]:
-            indeg[y] += 1
-    ready = [x for x in mods if indeg[x] == 0]
-    out = []
-    while ready:
-        ready.sort(key=lambda m: (-m.b, -m.a))
-        x = ready.pop(0)
-        out.append(x)
-        for y in succs[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                ready.append(y)
-    if len(out) != len(mods):
-        raise IntervalError("Hom digraph on intervals is not acyclic")
-    return ExplicitOrder(tuple(out))
 
 
 def embed_in_tube(x: IntervalModule):

@@ -1,9 +1,8 @@
-"""Linearly ordered phase sets.
+"""Phases and the explicit phase order.
 
 Phases are structural values (labels, integers, exact fractions, infinity,
-or nested pairs), never floats.  A :class:`LinearOrder` owns the comparison;
-explicit orders compare by position, numeric orders by value, lexicographic
-products componentwise.  Infinite carriers expose comparison only.
+or nested pairs), never floats.  A stability datum orders its phases by an
+explicit list: position decides.
 """
 
 from __future__ import annotations
@@ -18,18 +17,6 @@ class OrderError(ValueError):
 
 
 class DuplicateElementError(OrderError):
-    pass
-
-
-class MissingInnerOrderError(OrderError):
-    pass
-
-
-class EmptyBlockError(OrderError):
-    pass
-
-
-class EnumerationUnsupportedError(OrderError):
     pass
 
 
@@ -48,7 +35,7 @@ class Phase:
 
     @staticmethod
     def label(s: str) -> "Phase":
-        if not s or any(c in s for c in "|()"):
+        if not s or any(c in s for c in "|()") or not s.isprintable():
             raise OrderError(f"invalid phase label {s!r}")
         return Phase("label", s)
 
@@ -104,249 +91,30 @@ class Phase:
             return Phase.integer(int(s))
         m = _FRAC_RE.match(s)
         if m:
+            if not int(m.group(2)):
+                raise OrderError(f"phase {s!r} has denominator 0")
             return Phase.rational(int(m.group(1)), int(m.group(2)))
         return Phase.label(s)
 
-    def natural_key(self):
-        """Comparison key within numeric orders; infinity sorts last."""
-        if self.kind == "int":
-            return (0, Fraction(self.value))
-        if self.kind == "frac":
-            return (0, self.value)
-        if self.kind == "inf":
-            return (1, 0)
-        raise OrderError(f"phase {self} has no natural numeric order")
 
+class ExplicitOrder:
+    """Phases ordered by their position in a list."""
 
-class LinearOrder:
-    kind = "abstract"
-
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def lt(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def le(self, a, b) -> bool:
-        return a == b or self.lt(a, b)
-
-    def is_enumerable(self) -> bool:
-        return False
-
-    def elements(self) -> tuple:
-        raise EnumerationUnsupportedError(f"{self.kind} order has no finite carrier")
-
-    def to_json(self):
-        raise NotImplementedError
-
-    def check(self, a, b):
-        for x in (a, b):
-            if not self.contains(x):
-                raise OrderError(f"element {x} not carried by this {self.kind} order")
-
-
-class ExplicitOrder(LinearOrder):
-    kind = "explicit-list"
-
-    def __init__(self, elements, max_size: int = EXPLICIT_CARRIER_CAP):
+    def __init__(self, elements):
         elements = tuple(elements)
-        if len(elements) > max_size:
-            raise OrderError(f"explicit carrier of size {len(elements)} exceeds cap {max_size}")
-        index = {}
-        for i, e in enumerate(elements):
-            if e in index:
+        if len(elements) > EXPLICIT_CARRIER_CAP:
+            raise OrderError(f"explicit carrier of size {len(elements)} exceeds cap "
+                             f"{EXPLICIT_CARRIER_CAP}")
+        members = set()
+        for e in elements:
+            if e in members:
                 raise DuplicateElementError(f"duplicate element {e}")
-            index[e] = i
+            members.add(e)
         self._elements = elements
-        self._index = index
+        self._members = members
 
     def contains(self, x) -> bool:
-        return x in self._index
-
-    def lt(self, a, b) -> bool:
-        self.check(a, b)
-        return self._index[a] < self._index[b]
-
-    def is_enumerable(self) -> bool:
-        return True
+        return x in self._members
 
     def elements(self) -> tuple:
         return self._elements
-
-    def index(self, x) -> int:
-        return self._index[x]
-
-    def to_json(self):
-        return {"kind": self.kind, "elements": [str(e) for e in self._elements]}
-
-    def __repr__(self):
-        return f"ExplicitOrder({' < '.join(str(e) for e in self._elements)})"
-
-
-class IntegersOrder(LinearOrder):
-    kind = "integers"
-
-    def contains(self, x) -> bool:
-        return isinstance(x, Phase) and x.kind == "int"
-
-    def lt(self, a, b) -> bool:
-        self.check(a, b)
-        return a.value < b.value
-
-    def to_json(self):
-        return {"kind": self.kind}
-
-
-class RationalsWithInfinityOrder(LinearOrder):
-    kind = "rationals-with-infinity"
-
-    def contains(self, x) -> bool:
-        return isinstance(x, Phase) and x.kind in ("int", "frac", "inf")
-
-    def lt(self, a, b) -> bool:
-        self.check(a, b)
-        return a.natural_key() < b.natural_key()
-
-    def to_json(self):
-        return {"kind": self.kind}
-
-
-class LexProductOrder(LinearOrder):
-    """Pairs (a, x) ordered by outer first, then by inner_of(a)."""
-
-    kind = "lex-product"
-
-    def __init__(self, outer: LinearOrder, inner_of):
-        self.outer = outer
-        if isinstance(inner_of, LinearOrder):
-            self._constant = inner_of
-            self._inners = None
-        else:
-            self._constant = None
-            self._inners = dict(inner_of)
-            if outer.is_enumerable():
-                for e in outer.elements():
-                    if e not in self._inners:
-                        raise MissingInnerOrderError(f"no inner order for outer element {e}")
-
-    def inner(self, a) -> LinearOrder:
-        if self._constant is not None:
-            return self._constant
-        if a not in self._inners:
-            raise MissingInnerOrderError(f"no inner order for outer element {a}")
-        return self._inners[a]
-
-    def contains(self, x) -> bool:
-        if not (isinstance(x, Phase) and x.kind == "pair"):
-            return False
-        a, b = x.value
-        try:
-            return self.outer.contains(a) and self.inner(a).contains(b)
-        except MissingInnerOrderError:
-            return False
-
-    def lt(self, x, y) -> bool:
-        self.check(x, y)
-        a, u = x.value
-        b, v = y.value
-        if a != b:
-            return self.outer.lt(a, b)
-        return self.inner(a).lt(u, v)
-
-    def is_enumerable(self) -> bool:
-        if not self.outer.is_enumerable():
-            return False
-        return all(self.inner(a).is_enumerable() for a in self.outer.elements())
-
-    def elements(self) -> tuple:
-        if not self.outer.is_enumerable():
-            raise EnumerationUnsupportedError("lex product over a non-enumerable outer order")
-        out = []
-        for a in self.outer.elements():
-            inner = self.inner(a)
-            out.extend(Phase.pair(a, b) for b in inner.elements())
-        return tuple(out)
-
-    def to_json(self):
-        doc = {"kind": self.kind, "outer": self.outer.to_json()}
-        if self._constant is not None:
-            doc["inner"] = self._constant.to_json()
-        else:
-            doc["inners"] = {str(a): o.to_json() for a, o in sorted(self._inners.items(), key=lambda kv: str(kv[0]))}
-        return doc
-
-
-class RefinedOrder(ExplicitOrder):
-    """Block refinement of an explicit base order; carries the projection r."""
-
-    kind = "refined"
-
-    def __init__(self, base: ExplicitOrder, blocks):
-        self.base = base
-        self.blocks = {phi: blocks[phi] for phi in base.elements()}
-        elements = []
-        projection = {}
-        for phi in base.elements():
-            if phi not in blocks:
-                raise EmptyBlockError(f"no block supplied for base element {phi}")
-            block_elems = blocks[phi].elements()
-            if not block_elems:
-                raise EmptyBlockError(f"empty block for base element {phi}")
-            for psi in block_elems:
-                projection[psi] = phi
-            elements.extend(block_elems)
-        super().__init__(elements)
-        self.projection = projection
-
-    def r(self, psi):
-        return self.projection[psi]
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "base": self.base.to_json(),
-            "blocks": {str(phi): self.blocks[phi].to_json() for phi in self.base.elements()},
-        }
-
-
-def make_finite_order(labels, max_size: int = EXPLICIT_CARRIER_CAP) -> ExplicitOrder:
-    phases = []
-    seen = set()
-    for lab in labels:
-        p = lab if isinstance(lab, Phase) else Phase.parse(str(lab))
-        if p in seen:
-            raise DuplicateElementError(f"duplicate label {lab!r}")
-        seen.add(p)
-        phases.append(p)
-    return ExplicitOrder(phases, max_size=max_size)
-
-
-def lex_product(outer: LinearOrder, inner_of) -> LexProductOrder:
-    return LexProductOrder(outer, inner_of)
-
-
-def refine_order(base: ExplicitOrder, blocks):
-    """Block refinement of an explicit order; returns (order, projection map)."""
-    ref = RefinedOrder(base, blocks)
-    return ref, dict(ref.projection)
-
-
-def order_from_json(doc) -> LinearOrder:
-    kind = doc["kind"]
-    if kind == "explicit-list":
-        return ExplicitOrder(tuple(Phase.parse(s) for s in doc["elements"]))
-    if kind == "integers":
-        return IntegersOrder()
-    if kind == "rationals-with-infinity":
-        return RationalsWithInfinityOrder()
-    if kind == "lex-product":
-        outer = order_from_json(doc["outer"])
-        if "inner" in doc:
-            return LexProductOrder(outer, order_from_json(doc["inner"]))
-        inners = {Phase.parse(k): order_from_json(v) for k, v in doc["inners"].items()}
-        return LexProductOrder(outer, inners)
-    if kind == "refined":
-        base = order_from_json(doc["base"])
-        blocks = {Phase.parse(k): order_from_json(v) for k, v in doc["blocks"].items()}
-        return RefinedOrder(base, blocks)
-    raise OrderError(f"unknown order kind {kind!r}")

@@ -16,13 +16,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..ambient import Ambient, AmbientError, WindowError, ambient_memo
+from .. import tube
+from ..ambient import Ambient, AmbientError, WindowError, positive
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
 
 KRON_POINTS = ("0", "1", "inf")
-TUBE_VALIDATION_LENGTH = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -77,8 +77,9 @@ class KroneckerAmbient(Ambient):
     def __init__(self, window: int = 6, n_points: int = 3):
         if window < 2:
             raise AmbientError("kronecker window must be >= 2")
-        if n_points > len(KRON_POINTS):
-            raise AmbientError(f"at most {len(KRON_POINTS)} kronecker points supported")
+        if not 0 <= n_points <= len(KRON_POINTS):
+            raise AmbientError(f"the point count must lie in 0..{len(KRON_POINTS)}, "
+                               f"got {n_points}")
         self.window = window
         self.points = KRON_POINTS[:n_points]
         self.name = f"kronecker:window={window}:points={n_points}"
@@ -110,20 +111,12 @@ class KroneckerAmbient(Ambient):
             return a.k >= b.k
         return False
 
-    def _in_window(self, d) -> bool:
+    def _in_carrier(self, d) -> bool:
         if isinstance(d, KronR):
             return d.d <= self.window
         return d.k <= self.window
 
-    @ambient_memo
-    def middle_terms(self, a, b) -> frozenset:
-        out = set()
-        for ms in self._middles(a, b):
-            if all(self._in_window(c) for c in ms):
-                out.add(tuple(sorted(ms, key=str)))
-        return frozenset(out)
-
-    def _middles(self, a, b):
+    def _middles_actual(self, a, b):
         out = []
         if isinstance(a, KronP) and isinstance(b, KronP):
             for c in range(a.k + 1, b.k):
@@ -144,9 +137,8 @@ class KroneckerAmbient(Ambient):
                 i = KronI(b.k + s)
                 out.append((i,) if s == a.d else (i, KronR(a.x, a.d - s)))
         elif isinstance(a, KronR) and isinstance(b, KronR) and a.x == b.x:
-            out.append((KronR(a.x, a.d + b.d),))
-            for s in range(max(1, a.d - b.d + 1), a.d):
-                out.append((KronR(a.x, a.d + b.d - s), KronR(a.x, s)))
+            out.extend(tuple(KronR(a.x, d) for d in lens)
+                       for lens in tube.homogeneous_middle_lengths(a.d, b.d))
         return out
 
     def decompositions(self, d) -> tuple:
@@ -155,8 +147,8 @@ class KroneckerAmbient(Ambient):
         if m >= 1 and n >= 1:
             out.append((tuple([KronP(1)] * n), tuple([KronI(1)] * m)))
         if isinstance(d, KronR):
-            for r in range(1, d.d):
-                out.append(((KronR(d.x, r),), (KronR(d.x, d.d - r),)))
+            out.extend(((KronR(d.x, r),), (KronR(d.x, q),))
+                       for r, q in tube.homogeneous_chain_splits(d.d))
         return tuple(out)
 
     def hn_scope(self) -> tuple:
@@ -166,17 +158,19 @@ class KroneckerAmbient(Ambient):
         s = s.strip()
         m = _P_RE.match(s)
         if m:
-            if int(m.group(1)) > self.window:
+            k = positive(s, m.group(1))
+            if k > self.window:
                 raise WindowError(f"{s} lies outside the window 1..{self.window}")
-            return KronP(int(m.group(1)))
+            return KronP(k)
         m = _I_RE.match(s)
         if m:
-            if int(m.group(1)) > self.window:
+            k = positive(s, m.group(1))
+            if k > self.window:
                 raise WindowError(f"{s} lies outside the window 1..{self.window}")
-            return KronI(int(m.group(1)))
+            return KronI(k)
         m = _R_RE.match(s)
         if m:
-            x, dd = m.group(1), int(m.group(2))
+            x, dd = m.group(1), positive(s, m.group(2))
             if x not in self.points:
                 raise AmbientError(f"unknown kronecker point {x!r}")
             return KronR(x, dd)

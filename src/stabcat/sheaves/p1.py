@@ -11,13 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..ambient import Ambient, AmbientError, WindowError, ambient_memo, compositions
+from .. import tube
+from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, compositions,
+                       positive)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
 
 DEFAULT_POINTS = ("0", "1", "lam", "mu", "nu", "xi")
-TUBE_VALIDATION_LENGTH = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -49,8 +50,9 @@ class P1Ambient(Ambient):
     def __init__(self, lo: int, hi: int, n_points: int = 3):
         if lo > hi:
             raise AmbientError("empty degree window")
-        if n_points > len(DEFAULT_POINTS):
-            raise AmbientError(f"at most {len(DEFAULT_POINTS)} sample points supported")
+        if not 0 <= n_points <= len(DEFAULT_POINTS):
+            raise AmbientError(f"the point count must lie in 0..{len(DEFAULT_POINTS)}, "
+                               f"got {n_points}")
         self.lo, self.hi = lo, hi
         self.points = DEFAULT_POINTS[:n_points]
         self.name = f"p1:window={lo}..{hi}:points={n_points}"
@@ -69,9 +71,9 @@ class P1Ambient(Ambient):
             return P1Tor(d.x, 2)
         return d
 
-    def _instances(self, d, count: int = 3):
+    def _instances(self, d) -> list:
         if isinstance(d, P1Tor) and d.t == 2:
-            return [P1Tor(d.x, 2 + k) for k in range(count)]
+            return [P1Tor(d.x, 2 + k) for k in range(FAMILY_INSTANCES)]
         return [d]
 
     def hom_nonzero(self, a, b) -> bool:
@@ -82,17 +84,6 @@ class P1Ambient(Ambient):
         if isinstance(b, P1Line):
             return False
         return a.x == b.x
-
-    @ambient_memo
-    def middle_terms(self, a, b) -> frozenset:
-        out = set()
-        for ai in self._instances(a):
-            for bi in self._instances(b):
-                for ms in self._middles_actual(ai, bi):
-                    emb = tuple(sorted((self.embed(c) for c in ms), key=str))
-                    if all(self._in_carrier(c) for c in emb):
-                        out.add(emb)
-        return frozenset(out)
 
     def _in_carrier(self, d) -> bool:
         if isinstance(d, P1Line):
@@ -116,14 +107,14 @@ class P1Ambient(Ambient):
                 else:
                     out.append((line, P1Tor(b.x, b.t - s)))
         elif isinstance(a, P1Tor) and isinstance(b, P1Tor) and a.x == b.x:
-            out.append((P1Tor(a.x, a.t + b.t),))
-            for s in range(max(1, a.t - b.t + 1), a.t):
-                out.append((P1Tor(a.x, a.t + b.t - s), P1Tor(a.x, s)))
+            out.extend(tuple(P1Tor(a.x, t) for t in lens)
+                       for lens in tube.homogeneous_middle_lengths(a.t, b.t))
         return out
 
     def decompositions(self, d) -> tuple:
         if isinstance(d, P1Tor):
-            return tuple(((P1Tor(d.x, r),), (P1Tor(d.x, d.t - r),)) for r in range(1, d.t))
+            return tuple(((P1Tor(d.x, r),), (P1Tor(d.x, q),))
+                         for r, q in tube.homogeneous_chain_splits(d.t))
         out = []
         for m in range(self.lo, d.n):
             gap = d.n - m
@@ -138,18 +129,9 @@ class P1Ambient(Ambient):
                    for lens in compositions(gap, len(self.points))]
         return [s for s in spreads if s]
 
-    def carrier_decompositions(self, d) -> tuple:
-        seen = []
-        for inst in self._instances(d, TUBE_VALIDATION_LENGTH):
-            for subs, quots in self.decompositions(inst):
-                pair = (tuple(self.embed(s) for s in subs), tuple(self.embed(q) for q in quots))
-                if pair not in seen:
-                    seen.append(pair)
-        return tuple(seen)
-
     def hn_scope(self) -> tuple:
         out = [P1Line(n) for n in range(self.lo, self.hi + 1)]
-        out += [P1Tor(x, t) for x in self.points for t in range(1, TUBE_VALIDATION_LENGTH + 1)]
+        out += [P1Tor(x, t) for x in self.points for t in (1, 2, 3)]
         return tuple(out)
 
     def parse(self, s: str):
@@ -162,7 +144,7 @@ class P1Ambient(Ambient):
             return P1Line(n)
         m = _TOR_RE.match(s)
         if m:
-            x, t = m.group(1), int(m.group(2))
+            x, t = m.group(1), positive(s, m.group(2))
             if x not in self.points:
                 raise AmbientError(f"unknown sample point {x!r}")
             return self.embed(P1Tor(x, t))

@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass
 
 from .. import tube
-from ..ambient import Ambient, AmbientError, WindowError, ambient_memo, compositions
+from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, ambient_memo,
+                       compositions, positive)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -95,8 +96,8 @@ class X2Ambient(Ambient):
     def __init__(self, lo: int, hi: int, n_points: int = 3):
         if lo > hi:
             raise AmbientError("empty window")
-        if n_points > len(X2_POINTS):
-            raise AmbientError(f"at most {len(X2_POINTS)} ordinary points supported")
+        if not 0 <= n_points <= len(X2_POINTS):
+            raise AmbientError(f"the point count must lie in 0..{len(X2_POINTS)}, got {n_points}")
         self.lo, self.hi = lo, hi
         self.inner_lo = lo - 1  # margin column for boundary HN factors
         self.points = X2_POINTS[:n_points]
@@ -129,11 +130,11 @@ class X2Ambient(Ambient):
             return X2Ord(d.x, 2)
         return d
 
-    def _instances(self, d, count: int = 3):
+    def _instances(self, d) -> list:
         if isinstance(d, X2Exc) and d.t > 2:
-            return [X2Exc(d.j, d.t + 2 * k) for k in range(count)]
+            return [X2Exc(d.j, d.t + 2 * k) for k in range(FAMILY_INSTANCES)]
         if isinstance(d, X2Ord) and d.t == 2:
-            return [X2Ord(d.x, 2 + k) for k in range(count)]
+            return [X2Ord(d.x, 2 + k) for k in range(FAMILY_INSTANCES)]
         return [d]
 
     def hom_nonzero(self, a, b) -> bool:
@@ -152,23 +153,9 @@ class X2Ambient(Ambient):
             return a.x == b.x
         return False
 
-    def _line_in_carrier(self, dd: int) -> bool:
-        return 2 * self.inner_lo <= dd <= 2 * self.hi + 1
-
-    @ambient_memo
-    def middle_terms(self, a, b) -> frozenset:
-        out = set()
-        for ai in self._instances(a):
-            for bi in self._instances(b):
-                for ms in self._middles_actual(ai, bi):
-                    emb = tuple(sorted((self.embed(c) for c in ms), key=str))
-                    if all(self._member_in_carrier(c) for c in emb):
-                        out.add(emb)
-        return frozenset(out)
-
-    def _member_in_carrier(self, d) -> bool:
+    def _in_carrier(self, d) -> bool:
         if isinstance(d, X2Line):
-            return self._line_in_carrier(d.dd)
+            return 2 * self.inner_lo <= d.dd <= 2 * self.hi + 1
         return True
 
     def _middles_actual(self, a, b):
@@ -199,9 +186,8 @@ class X2Ambient(Ambient):
             for ms in tube.middle_terms(_exc_tube(a), _exc_tube(b)):
                 out.append(tuple(_exc_back(c) for c in ms))
         elif isinstance(a, X2Ord) and isinstance(b, X2Ord) and a.x == b.x:
-            out.append((X2Ord(a.x, a.t + b.t),))
-            for s in range(max(1, a.t - b.t + 1), a.t):
-                out.append((X2Ord(a.x, a.t + b.t - s), X2Ord(a.x, s)))
+            out.extend(tuple(X2Ord(a.x, t) for t in lens)
+                       for lens in tube.homogeneous_middle_lengths(a.t, b.t))
         return out
 
     @ambient_memo
@@ -210,7 +196,8 @@ class X2Ambient(Ambient):
             return tuple(((_exc_back(s),), (_exc_back(q),))
                          for s, q in tube.chain_splits(_exc_tube(d)))
         if isinstance(d, X2Ord):
-            return tuple(((X2Ord(d.x, r),), (X2Ord(d.x, d.t - r),)) for r in range(1, d.t))
+            return tuple(((X2Ord(d.x, r),), (X2Ord(d.x, q),))
+                         for r, q in tube.homogeneous_chain_splits(d.t))
         out = []
         for sub in self.internal_lines():
             if sub.dd >= d.dd:
@@ -235,16 +222,6 @@ class X2Ambient(Ambient):
                     spreads.append(tuple(quot))
         return spreads
 
-    def carrier_decompositions(self, d) -> tuple:
-        seen = []
-        count = 3
-        for inst in self._instances(d, count):
-            for subs, quots in self.decompositions(inst):
-                pair = (tuple(self.embed(s) for s in subs), tuple(self.embed(q) for q in quots))
-                if pair not in seen:
-                    seen.append(pair)
-        return tuple(seen)
-
     def hn_scope(self) -> tuple:
         out = list(self.reported_lines())
         out += [X2Exc(j, t) for j in (0, 1) for t in range(1, EXC_VALIDATION_LENGTH + 1)]
@@ -265,10 +242,10 @@ class X2Ambient(Ambient):
             return line
         m = _EXC_RE.match(s)
         if m:
-            return self.embed(X2Exc(int(m.group(1)), int(m.group(2))))
+            return self.embed(X2Exc(int(m.group(1)), positive(s, m.group(2))))
         m = _ORD_RE.match(s)
         if m:
-            x, t = m.group(1), int(m.group(2))
+            x, t = m.group(1), positive(s, m.group(2))
             if x not in self.points:
                 raise AmbientError(f"unknown ordinary point {x!r}")
             return self.embed(X2Ord(x, t))

@@ -118,6 +118,17 @@ def middle_terms(a: TubeIndec, b: TubeIndec) -> frozenset:
     return frozenset(out)
 
 
+def homogeneous_middle_lengths(a: int, b: int) -> list:
+    """`middle_terms` in a rank-one tube, on lengths: the stacked a + b and
+    the pairs (a + b - s, s) for 1 <= s < min(a, b)."""
+    return [(a + b,)] + [(a + b - s, s) for s in range(1, min(a, b))]
+
+
+def homogeneous_chain_splits(t: int) -> list:
+    """`chain_splits` in a rank-one tube, on lengths: (r, t - r), 1 <= r < t."""
+    return [(r, t - r) for r in range(1, t)]
+
+
 def rho(t: int, n: int) -> int:
     """Representative length: identity below n, n + ((t-1) mod n) + 1 above."""
     if t <= n:

@@ -2,6 +2,9 @@ import pytest
 
 from stabcat.ambient import AmbientError
 from stabcat.ambients import parse_ambient
+from stabcat.oracle import middle_terms_bruteforce
+from stabcat.sheaves import KronR, P1Tor, X2Ord
+from stabcat.tube import TubeIndec
 
 ALL_SPECS = [
     "tube:1", "tube:3", "an:2", "an:3",
@@ -86,3 +89,22 @@ def test_sheaf_middle_degree_conservation_on_actual_objects(spec):
                     for ms in amb._middles_actual(ai, bi):
                         got = sum(_degree(amb, c) for c in ms)
                         assert got == target, (str(ai), str(bi), ms)
+
+
+
+@pytest.mark.parametrize("spec, make", [
+    ("p1:window=-1..1:points=1", lambda t: P1Tor("0", t)),
+    ("x2:window=-1..1:points=1", lambda t: X2Ord("0", t)),
+    ("kronecker:window=6:points=1", lambda t: KronR("0", t)),
+], ids=["p1", "x2", "kronecker"])
+def test_point_tube_middles_match_oracle(spec, make):
+    """Extensions inside a rank-one point tube agree with the GF(2) matrix
+    oracle on the cyclic quiver with one vertex, a > b included."""
+    amb = parse_ambient(spec)
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            got = {tuple(sorted(ms, key=str)) for ms in amb._middles_actual(make(a), make(b))}
+            want = {tuple(sorted((make(c.t) for c in ms), key=str))
+                    for ms in middle_terms_bruteforce(("cyclic", 1), TubeIndec(1, 0, a),
+                                                      TubeIndec(1, 0, b), p=2)}
+            assert got == want, (a, b)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 CLI = [sys.executable, "-m", "stabcat.cli"]
 
@@ -216,3 +217,119 @@ def test_bad_tube_descriptor_exit_two(tmp_path):
     out = run_cli("hn", "--ambient", "tube:2", "--data", str(data), "--object", "S0^(1)@3")
     assert out.returncode == 2
     assert out.stderr.strip() == "error: descriptor 'S0^(1)@3' has rank 3, expected 2"
+
+
+def run_main(capsys, *argv):
+    """`cli.main` in-process: (exit code, stdout, stderr)."""
+    from stabcat.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("spec, limit", [
+    ("p1:window=-1..1:points=-1", 6),
+    ("x2:window=-1..1:points=-1", 3),
+    ("kronecker:window=3:points=-1", 3),
+], ids=["p1", "x2", "kronecker"])
+def test_negative_point_count_exit_two(tmp_path, capsys, spec, limit):
+    data = tmp_path / "sd.json"
+    data.write_text(json.dumps({"order": ["1"], "pieces": {"1": []}}))
+    code, out, err = run_main(capsys, "validate", "--ambient", spec, "--data", str(data))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: bad ambient spec: the point count must lie in 0..{limit}, got -1"
+
+
+@pytest.mark.parametrize("spec, member, obj", [
+    ("p1:window=-1..1:points=1", "O(0)", "S[0]^(0)"),
+    ("x2:window=-1..1:points=1", "O(0c+0x1)", "S[0]^(0)"),
+    ("x2:window=-1..1:points=1", "O(0c+0x1)", "S[1,0]^(0)"),
+    ("kronecker:window=3:points=1", "P_1", "R[0]^(0)"),
+    ("kronecker:window=3:points=1", "P_1", "P_0"),
+    ("kronecker:window=3:points=1", "P_1", "I_0"),
+], ids=["p1-point", "x2-point", "x2-exceptional", "kronecker-regular",
+        "kronecker-preprojective", "kronecker-preinjective"])
+def test_zero_length_descriptor_exit_two(tmp_path, capsys, spec, member, obj):
+    data = tmp_path / "sd.json"
+    data.write_text(json.dumps({"order": ["1"], "pieces": {"1": [member]}}))
+    code, _, err = run_main(capsys, "hn", "--ambient", spec, "--data", str(data), "--object", obj)
+    assert code == 2
+    assert err.strip() == f"error: length or index 0 is below 1 in {obj!r}"
+
+
+_INT = st.integers(-2, 7).map(str)
+_SPECS = st.one_of(
+    st.builds("tube:{}".format, st.integers(1, 3)),
+    st.builds("an:{}".format, st.integers(1, 3)),
+    st.builds("p1:window={}..{}:points={}".format, st.integers(-2, 0), st.integers(0, 2),
+              st.integers(0, 6)),
+    st.builds("x2:window={}..{}:points={}".format, st.integers(-1, 0), st.integers(0, 1),
+              st.integers(0, 3)),
+    st.builds("kronecker:window={}:points={}".format, st.integers(2, 4), st.integers(0, 3)),
+    st.builds("{}:window={}..{}:points={}".format, st.sampled_from(["p1", "x2", "kronecker"]),
+              _INT, _INT, _INT),
+    st.text(alphabet="tubeanpkx12:=.-", max_size=12),
+)
+_DESCRIPTORS = st.one_of(
+    st.builds("S{}^({})@{}".format, _INT, _INT, _INT),
+    st.builds("S{}^({})".format, _INT, _INT),
+    st.builds("M[{},{}]".format, _INT, _INT),
+    st.builds("{}{}".format, st.sampled_from(["S", "P", "I", "S_", "P_", "I_"]), _INT),
+    st.builds("O({})".format, _INT),
+    st.builds("O({}c+{}x1)".format, _INT, _INT),
+    st.builds("S[{}]^({})".format, st.sampled_from(["0", "1", "lam", "inf", "9"]), _INT),
+    st.builds("S[1,{}]^({})".format, _INT, _INT),
+    st.builds("R[{}]^({})".format, st.sampled_from(["0", "1", "inf", "lam"]), _INT),
+    st.text(alphabet="SPIMORc+x1^()[],_@0-\n", max_size=10),
+)
+_PHASES = st.one_of(_INT, st.sampled_from(["inf", "1/2", "1/0", "(inf|0)", "(0|1)", "(", "a|b"]),
+                    st.text(alphabet="ab1/|()-\n ", max_size=5))
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                     max_leaves=6)
+
+
+@st.composite
+def _documents(draw, members):
+    """A datum, a torsion pair or arbitrary JSON.  A clean document draws
+    its members from `members` (the ambient's carrier descriptors) and its
+    phases from small integers; any other may hold malformed strings."""
+    kind = draw(st.sampled_from(["datum", "datum", "datum", "pair", "json"]))
+    if kind == "json":
+        return draw(_JSON)
+    member = st.sampled_from(members) if members else _DESCRIPTORS
+    clean = members and draw(st.booleans())
+    pick = st.lists(member if clean else member | _DESCRIPTORS, max_size=4)
+    if kind == "pair":
+        return {"T": draw(pick), "F": draw(pick)}
+    order = draw(st.lists(_INT if clean else _PHASES, max_size=4, unique=bool(clean)))
+    keys = draw(st.lists(st.sampled_from(order) if clean and order else _PHASES, max_size=4))
+    return {"order": order, "pieces": {k: draw(pick) for k in keys}}
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(["validate", "hn", "refine", "compare"]), spec=_SPECS,
+       data=st.data())
+def test_fuzz_cli_exit_codes(tmp_path, capsys, command, spec, data):
+    """Whatever the ambient spec, datum documents or descriptor, the CLI exits
+    with a documented code and at most one line on stderr."""
+    from stabcat.ambients import parse_ambient
+
+    try:
+        members = [str(x) for x in parse_ambient(spec).carrier()]
+    except ValueError:  # AmbientError, or a non-integer field
+        members = []
+    paths = []
+    for name in ("d.json", "d2.json"):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(data.draw(_documents(members))))
+    obj = data.draw(st.sampled_from(members) | _DESCRIPTORS if members else _DESCRIPTORS)
+    extra = {"hn": [f"--object={obj}"], "compare": [f"--data2={paths[1]}"]}.get(command, [])
+    code, _, err = run_main(capsys, command, f"--ambient={spec}", f"--data={paths[0]}", *extra)
+    assert code in range(5)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1, err

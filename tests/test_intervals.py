@@ -1,9 +1,7 @@
-import itertools
-
 import pytest
 
-from stabcat.intervals import (IntervalError, IntervalModule,alias_name, all_intervals,
-                               chain_splits_interval, directing_order, hom_nonzero_interval,
+from stabcat.intervals import (IntervalError, IntervalModule, all_intervals,
+                               chain_splits_interval, hom_nonzero_interval,
                                middle_terms_interval, parse_interval)
 
 
@@ -26,25 +24,6 @@ def test_middle_examples():
     assert got == frozenset({tuple(sorted((M(3, 1, 3), M(3, 2, 2)), key=str))})
 
 
-def test_directing_order_a2_is_forced():
-    order = directing_order(2)
-    assert [alias_name(x) for x in order.elements()] == ["S2", "P1", "S1"]
-
-
-def test_directing_order_a1_singleton():
-    assert len(directing_order(1).elements()) == 1
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_directing_order_hom_vanishing(n):
-    order = directing_order(n)
-    els = order.elements()
-    assert len(els) == n * (n + 1) // 2
-    for x, y in itertools.product(els, repeat=2):
-        if order.lt(y, x):
-            assert not hom_nonzero_interval(x, y), (str(x), str(y))
-
-
 def test_parse_aliases():
     assert parse_interval("M[1,2]@A3") == M(3, 1, 2)
     assert parse_interval("S2", n=3) == M(3, 2, 2)
@@ -54,13 +33,6 @@ def test_parse_aliases():
         parse_interval("M[2,1]@A3")
     with pytest.raises(IntervalError):
         parse_interval("S1")
-
-
-def test_alias_names():
-    assert alias_name(M(3, 1, 3)) == "P1"
-    assert alias_name(M(3, 1, 2)) == "I2"
-    assert alias_name(M(3, 2, 2)) == "S2"
-    assert alias_name(M(4, 2, 3)) == "M[2,3]"
 
 
 def test_chain_splits():

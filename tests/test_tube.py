@@ -159,3 +159,12 @@ def test_ambient_middle_terms_stabilize():
                         for ms in tube.middle_terms(ai, bi):
                             more.add(tuple(sorted((truncate_rep(c) for c in ms), key=str)))
                 assert base == more, (str(a), str(b))
+
+
+@pytest.mark.parametrize("a", range(1, 11))
+def test_homogeneous_rules_match_rank_one_tube(a):
+    for b in range(1, 11):
+        got = {tuple(sorted(lens)) for lens in tube.homogeneous_middle_lengths(a, b)}
+        want = {tuple(sorted(c.t for c in ms)) for ms in middle_terms(T(1, 0, a), T(1, 0, b))}
+        assert got == want, (a, b)
+    assert tube.homogeneous_chain_splits(a) == [(s.t, q.t) for s, q in chain_splits(T(1, 0, a))]
