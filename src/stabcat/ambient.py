@@ -8,6 +8,11 @@ actual objects (`_middles_actual`, `decompositions`), embed the results in
 the carrier and keep the ones inside it (`_in_carrier`).  A model supplies
 those rules, not the sweep.
 
+The HN search asks `phase_quotients` only for the decompositions whose
+quotient one phase owns, below the phases the sub's chains end in.  The
+default filters `decompositions`; the sheaf models generate the admissible
+torsion spreads of a line bundle directly (`slotted_spreads`).
+
 Tube carriers use segment representatives (lengths capped at 2n); validation
 additionally walks actual segments of length up to 3n, membership being
 decided through truncation.  Sheaf-window ambients live in stabcat.sheaves.
@@ -25,13 +30,33 @@ from .tube import SegmentRep, TubeIndec, parse_tube, truncate_rep
 FAMILY_INSTANCES = 3
 
 
-def compositions(total: int, parts: int) -> list:
-    """Tuples of `parts` non-negative integers summing to `total`, in
-    lexicographic order: C(total + parts - 1, parts - 1) of them."""
-    if parts <= 1:
-        return [(total,)] if parts == 1 else ([()] if total == 0 else [])
-    return [(first,) + rest for first in range(total + 1)
-            for rest in compositions(total - first, parts - 1)]
+def slotted_spreads(total: int, slots) -> list:
+    """Ways to spread `total` over `slots`, a sequence of (key, lo, hi): each
+    key takes 0 or a length in lo..hi (hi None: no upper bound).  Each way
+    is a tuple of (key, length) for the keys given a nonzero length."""
+    if not slots:
+        return [()] if total == 0 else []
+    (key, lo, hi), rest = slots[0], slots[1:]
+    out = slotted_spreads(total, rest)
+    for k in range(lo, (total if hi is None else min(hi, total)) + 1):
+        out.extend(((key, k),) + tail for tail in slotted_spreads(total - k, rest))
+    return out
+
+
+def point_tube_slots(owners: dict) -> dict:
+    """Per phase index, the length slots of the rank-one point tubes it owns.
+
+    `owners` maps each point to (o1, o2), the phases owning S_x^(1) and
+    S_x^(2); S_x^(2) stands for every length t >= 2, -1 for no phase.  A
+    phase owning both takes any length at x, only S_x^(1) exactly 1, only
+    S_x^(2) at least 2: slots (x, 1, None), (x, 1, 1), (x, 2, None).
+    """
+    out = {}
+    for x, (o1, o2) in owners.items():
+        for p in {o1, o2} - {-1}:
+            slot = (x, 1, None) if o1 == o2 else (x, 1, 1) if p == o1 else (x, 2, None)
+            out.setdefault(p, []).append(slot)
+    return out
 
 
 def ambient_memo(method):
@@ -119,6 +144,34 @@ class Ambient:
         extended-space object x; complete within the model."""
         raise NotImplementedError
 
+    def owning_phase(self, quots, owner) -> int:
+        """The one phase index owning every member of `quots` (embedded), or
+        -1; `owner` maps a carrier member to its phase index."""
+        embed = self.embed
+        p = -1
+        for q in quots:
+            o = owner.get(embed(q), -1)
+            if o < 0 or (p >= 0 and o != p):
+                return -1
+            p = o
+        return p
+
+    def phase_quotients(self, x, owner, top_of):
+        """The decompositions of x an HN step can use, as (subs, quots, p).
+
+        `owner` maps a carrier member to the index of the lowest phase whose
+        piece holds it.  Each quotient lies entirely in the one phase p
+        (through `embed`), and p < top_of(subs), the index of the highest
+        phase a chain of the sub multiset ends in (-1 when it has none).
+        Every sub yielded has been passed to `top_of` first.  The default
+        filters `decompositions(x)`, testing the quotient's phase before
+        `top_of` recurses into the sub.
+        """
+        for subs, quots in self.decompositions(x):
+            p = self.owning_phase(quots, owner)
+            if p >= 0 and p < top_of(subs):
+                yield subs, quots, p
+
     def hn_scope(self) -> tuple:
         """Extended-space objects whose HN filtration validation must find."""
         return self.carrier()
@@ -140,9 +193,6 @@ class Ambient:
 
     def quotient_components(self, x) -> frozenset:
         return frozenset(q for _, quots in self.carrier_decompositions(x) for q in quots)
-
-    def sub_components(self, x) -> frozenset:
-        return frozenset(s for subs, _ in self.carrier_decompositions(x) for s in subs)
 
     def tau(self, x):
         return None

@@ -156,30 +156,28 @@ class KroneckerAmbient(Ambient):
 
     def parse(self, s: str):
         s = s.strip()
-        m = _P_RE.match(s)
-        if m:
-            k = positive(s, m.group(1))
-            if k > self.window:
-                raise WindowError(f"{s} lies outside the window 1..{self.window}")
-            return KronP(k)
-        m = _I_RE.match(s)
-        if m:
-            k = positive(s, m.group(1))
-            if k > self.window:
-                raise WindowError(f"{s} lies outside the window 1..{self.window}")
-            return KronI(k)
+        for regex, cls in ((_P_RE, KronP), (_I_RE, KronI)):
+            m = regex.match(s)
+            if m:
+                return cls(self._in_window(s, positive(s, m.group(1))))
         m = _R_RE.match(s)
         if m:
             x, dd = m.group(1), positive(s, m.group(2))
             if x not in self.points:
                 raise AmbientError(f"unknown kronecker point {x!r}")
-            return KronR(x, dd)
+            return KronR(x, self._in_window(s, dd))
         # accept the simple-module aliases from the A_2-style notation
         if s in ("S_1", "S1"):
             return KronI(1)
         if s in ("S_2", "S2"):
             return KronP(1)
         raise AmbientError(f"cannot parse kronecker descriptor {s!r}")
+
+    def _in_window(self, s: str, k: int) -> int:
+        """The index or length k read from `s`; WindowError above the window."""
+        if k > self.window:
+            raise WindowError(f"{s} lies outside the window 1..{self.window}")
+        return k
 
     def tube_members(self, x: str) -> frozenset:
         return frozenset(KronR(x, d) for d in range(1, self.window + 1))

@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 
 from .. import tube
-from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, compositions,
-                       positive)
+from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, point_tube_slots,
+                       positive, slotted_spreads)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -122,12 +122,30 @@ class P1Ambient(Ambient):
                 out.append(((P1Line(m),), quot))
         return tuple(out)
 
+    def phase_quotients(self, d, owner, top_of):
+        """For a line bundle, only the torsion spreads one phase below the
+        sub's top owns: per phase, the points whose tube members it owns,
+        with their length slots (`point_tube_slots`)."""
+        if isinstance(d, P1Tor):
+            yield from super().phase_quotients(d, owner, top_of)
+            return
+        slots = point_tube_slots({x: (owner.get(P1Tor(x, 1), -1), owner.get(P1Tor(x, 2), -1))
+                                  for x in self.points})
+        phases = sorted(slots)
+        for m in range(self.lo, d.n):
+            sub = (P1Line(m),)
+            top = top_of(sub)
+            for p in phases:
+                if p >= top:
+                    break
+                for spread in slotted_spreads(d.n - m, slots[p]):
+                    yield sub, tuple(P1Tor(x, k) for x, k in spread), p
+
     def _torsion_spreads(self, gap: int):
         """All quotients of a degree-`gap` embedding: one torsion sheaf per
         point, lengths summing to gap."""
-        spreads = [tuple(P1Tor(x, k) for x, k in zip(self.points, lens) if k)
-                   for lens in compositions(gap, len(self.points))]
-        return [s for s in spreads if s]
+        spreads = slotted_spreads(gap, [(x, 1, None) for x in self.points])
+        return [tuple(P1Tor(x, k) for x, k in s) for s in spreads if s]
 
     def hn_scope(self) -> tuple:
         out = [P1Line(n) for n in range(self.lo, self.hi + 1)]

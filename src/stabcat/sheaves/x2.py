@@ -20,8 +20,8 @@ import re
 from dataclasses import dataclass
 
 from .. import tube
-from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, ambient_memo,
-                       compositions, positive)
+from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, point_tube_slots,
+                       positive, slotted_spreads)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -190,7 +190,6 @@ class X2Ambient(Ambient):
                        for lens in tube.homogeneous_middle_lengths(a.t, b.t))
         return out
 
-    @ambient_memo
     def decompositions(self, d) -> tuple:
         if isinstance(d, X2Exc):
             return tuple(((_exc_back(s),), (_exc_back(q),))
@@ -207,19 +206,54 @@ class X2Ambient(Ambient):
                 out.append(((sub,), quot))
         return tuple(out)
 
+    def phase_quotients(self, d, owner, top_of):
+        """For a line bundle, only the torsion spreads one phase below the
+        sub's top owns.  The exceptional summand keeps the top parity
+        dd mod 2 and takes the lengths whose embedding the phase owns; the
+        ordinary points take their length slots (`point_tube_slots`)."""
+        if not isinstance(d, X2Line):
+            yield from super().phase_quotients(d, owner, top_of)
+            return
+        parity = d.dd % 2
+        ords = point_tube_slots({x: (owner.get(X2Ord(x, 1), -1), owner.get(X2Ord(x, 2), -1))
+                                 for x in self.points})
+        exc = {}
+        for t in range(1, d.dd - 2 * self.inner_lo + 1):
+            p = owner.get(self.embed(X2Exc(parity, t)), -1)
+            if p >= 0:
+                exc.setdefault(p, []).append(t)
+        phases = sorted(set(ords) | set(exc))
+        for sub in self.internal_lines():
+            if sub.dd >= d.dd:
+                break
+            gap, top = d.dd - sub.dd, top_of((sub,))
+            for p in phases:
+                if p >= top:
+                    break
+                for quot in self._spreads(gap, parity, exc.get(p, ()), ords.get(p, ())):
+                    yield (sub,), quot, p
+
     def _torsion_spreads(self, gap: int, exc_parity: int):
+        """All quotients of a degree-`gap` embedding."""
+        return self._spreads(gap, exc_parity, range(1, gap + 1),
+                             [(x, 1, None) for x in self.points])
+
+    def _spreads(self, gap: int, exc_parity: int, exc_lengths, ord_slots) -> list:
+        """Quotients of a degree-`gap` embedding: at most one exceptional
+        summand, of top parity `exc_parity` and a length in the ascending
+        `exc_lengths`, plus ordinary torsion spread over `ord_slots`; each
+        ordinary length counts twice towards the degree."""
         spreads = []
-        for m_exc in range(gap + 1):
+        for m_exc in [0, *exc_lengths]:
             rest = gap - m_exc
+            if rest < 0:
+                break
             if rest % 2:
                 continue
-            for lens in compositions(rest // 2, len(self.points)):
-                quot = []
-                if m_exc:
-                    quot.append(X2Exc(exc_parity, m_exc))
-                quot.extend(X2Ord(x, k) for x, k in zip(self.points, lens) if k)
-                if quot:
-                    spreads.append(tuple(quot))
+            head = (X2Exc(exc_parity, m_exc),) if m_exc else ()
+            for spread in slotted_spreads(rest // 2, ord_slots):
+                if head or spread:
+                    spreads.append(head + tuple(X2Ord(x, k) for x, k in spread))
         return spreads
 
     def hn_scope(self) -> tuple:

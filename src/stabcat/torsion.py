@@ -96,11 +96,6 @@ def is_quotient_closed(ambient, members) -> bool:
     return all(ambient.quotient_components(x) <= members for x in members)
 
 
-def is_sub_closed(ambient, members) -> bool:
-    members = frozenset(members)
-    return all(ambient.sub_components(x) <= members for x in members)
-
-
 def _canonical_sort(pairs) -> list:
     return sorted(pairs, key=lambda p: (len(p.t), p.key()))
 

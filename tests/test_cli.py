@@ -259,6 +259,20 @@ def test_zero_length_descriptor_exit_two(tmp_path, capsys, spec, member, obj):
     assert err.strip() == f"error: length or index 0 is below 1 in {obj!r}"
 
 
+@pytest.mark.parametrize("datum", ["finest_kron_two_phase", "finest_kron_directing"])
+@pytest.mark.parametrize("obj", ["R[0]^(3000)", "R[inf]^(4)", "P_4", "I_9"])
+def test_kronecker_object_outside_window_exit_three(tmp_path, capsys, datum, obj):
+    from stabcat.sheaves import kronecker
+
+    amb = kronecker.KroneckerAmbient(3, 3)
+    data = tmp_path / "sd.json"
+    data.write_text(json.dumps(getattr(kronecker, datum)(amb).to_json()))
+    code, out, err = run_main(capsys, "hn", "--ambient", amb.spec_string(), "--data", str(data),
+                              "--object", obj)
+    assert code == 3 and out == ""
+    assert err.strip() == f"window violation: {obj} lies outside the window 1..3"
+
+
 _INT = st.integers(-2, 7).map(str)
 _SPECS = st.one_of(
     st.builds("tube:{}".format, st.integers(1, 3)),

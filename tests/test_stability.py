@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -8,9 +10,8 @@ from stabcat.phases import ExplicitOrder, Phase
 from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
                                _enumerate_finest_reference, all_cuts, cut_torsion_pair,
                                enumerate_finest, enumerate_valid, equivalent, hn_chains,
-                               hn_filtration, is_coarser, is_finest, merge_adjacent,
-                               refine_to_finest, split_phase, tau_orbit_size, tau_translate,
-                               validate)
+                               hn_filtration, is_coarser, is_finest, refine_to_finest,
+                               split_phase, tau_orbit_size, tau_translate, validate)
 from stabcat.subcat import canon_members, closure, left_perp, right_perp
 from stabcat.tube import SegmentRep, TubeIndec
 
@@ -290,7 +291,23 @@ def test_tube_census():
                     assert len(by_len.get(t, ())) == n - t + 1
 
 
-def test_merge_adjacent_keeps_validity():
+def test_enumerate_finest_leaves_no_cycle():
+    """With the cyclic collector off, the ambient dies as soon as it and the
+    result are dropped: the enumeration leaves no reference cycle behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        amb = TubeAmbient(3)
+        ref = weakref.ref(amb)
+        finest = enumerate_finest(amb)
+        assert len(finest) == 12
+        del amb, finest
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_merge_adjacent_keeps_validity(merge_adjacent):
     rng = random.Random(1)
     for amb in (TubeAmbient(2), TubeAmbient(3)):
         finest = enumerate_finest(amb)

@@ -4,13 +4,19 @@ import pytest
 
 import stabcat.torsion as torsion
 from stabcat.ambient import IntervalAmbient, TubeAmbient
-from stabcat.stability import all_cuts, cut_torsion_pair, enumerate_finest, merge_adjacent
+from stabcat.stability import all_cuts, cut_torsion_pair, enumerate_finest
 from stabcat.subcat import closure, ctx_for, left_perp, right_perp
 from stabcat.torsion import (TorsionError, TorsionPair, _enumerate_torsion_pairs_brute,
                              classify_tube_torsion_pairs, dedupe_upto_tau,
-                             enumerate_torsion_pairs, is_quotient_closed, is_sub_closed,
+                             enumerate_torsion_pairs, is_quotient_closed,
                              pairs_to_markdown, tau_pair_orbit_size, torsion_lattice,
                              torsion_pairs_from_finest, validate_torsion_pair)
+
+
+def is_sub_closed(ambient, members) -> bool:
+    members = frozenset(members)
+    return all(s in members for x in members
+               for subs, _ in ambient.carrier_decompositions(x) for s in subs)
 
 
 def parse_set(amb, names):
@@ -144,7 +150,7 @@ def test_cuts_include_trivial_pairs():
     assert TorsionPair(frozenset(), full).key() in keys
 
 
-def test_every_cut_of_random_valid_data_is_torsion_pair():
+def test_every_cut_of_random_valid_data_is_torsion_pair(merge_adjacent):
     rng = random.Random(5)
     for amb in (TubeAmbient(2), TubeAmbient(3)):
         finest = enumerate_finest(amb)
