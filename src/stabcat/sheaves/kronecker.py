@@ -195,16 +195,15 @@ def point_phase(x: str) -> Phase:
     return Phase.parse(f"(inf|{x})")
 
 
-def finest_kron_directing(amb: KroneckerAmbient, point_order=None) -> StabilityData:
+def finest_kron_directing(amb: KroneckerAmbient) -> StabilityData:
     """Finest class with every indecomposable semistable:
     (0,1) < (0,2) < ... < points ... < (1,2) < (1,1)."""
-    points = list(point_order) if point_order is not None else list(amb.points)
     phases = [preprojective_phase(k) for k in range(1, amb.window + 1)]
-    phases += [point_phase(x) for x in points]
+    phases += [point_phase(x) for x in amb.points]
     phases += [preinjective_phase(k) for k in range(amb.window, 0, -1)]
     pieces = {preprojective_phase(k): frozenset({KronP(k)}) for k in range(1, amb.window + 1)}
     pieces.update({preinjective_phase(k): frozenset({KronI(k)}) for k in range(1, amb.window + 1)})
-    pieces.update({point_phase(x): amb.tube_members(x) for x in points})
+    pieces.update({point_phase(x): amb.tube_members(x) for x in amb.points})
     return StabilityData(ExplicitOrder(phases), pieces)
 
 

@@ -330,7 +330,7 @@ def _xtilde_tokens(amb, xtilde_order, lo_among_lines: bool):
 
 
 def finest_x2(amb: X2Ambient, family: str, m: int | None = None,
-              point_order=None, xtilde_order=None, anchor: int = 0) -> StabilityData:
+              xtilde_order=None, anchor: int = 0) -> StabilityData:
     """The three finest families: all line bundles semistable ("full"), only
     the x1-coset semistable ("coset"), or the coset plus an initial segment
     of the c-coset ("lm", cut parameter m).
@@ -341,12 +341,6 @@ def finest_x2(amb: X2Ambient, family: str, m: int | None = None,
     """
     if family not in FAMILIES:
         raise AmbientError(f"unknown finest family {family!r}; pick one of {FAMILIES}")
-    if point_order is not None and xtilde_order is not None:
-        raise AmbientError("give either point_order or xtilde_order, not both")
-    if point_order is not None:
-        if sorted(point_order) != sorted(amb.points):
-            raise AmbientError("point order must permute the sample points")
-        xtilde_order = [EXC_LO, EXC_MID, EXC_HI] + list(point_order)
     exc = _exc_pieces(anchor)
     other = 1 - anchor
 

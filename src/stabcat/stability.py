@@ -1,5 +1,5 @@
 """Stability data: validation, HN filtrations, finest-ness, refinement,
-comparison, cuts and exhaustive enumeration of finest data.
+comparison, cuts and exhaustive enumeration of valid and finest data.
 
 A stability datum is a linearly ordered set of phases plus one extension
 closed piece per phase.  Validity means Hom vanishes from higher to lower
@@ -15,6 +15,10 @@ for quotients lying in one phase below the highest phase those chains end
 in.  The P^1 and X(2) models build those torsion spreads of a line bundle
 directly, so `validate` finishes on p1 -20..20 with 6 points and on x2
 -12..12 with 3 points in well under a second each.
+
+Valid data are the chains 0 = T_0 < ... < T_k = carrier of torsion classes,
+with pieces T_{i+1} & T_i^perp: `enumerate_valid` walks every chain of
+`torsion_lattice` and `enumerate_finest` its maximal chains, through one walk.
 """
 
 from __future__ import annotations
@@ -173,11 +177,11 @@ class HNSearch:
         self.canon = sd.canonicalized()
         self.phases = self.canon.phases()
         self.pidx = {ph: i for i, ph in enumerate(self.phases)}
-        index = ctx_for(ambient).index
+        carrier = frozenset(ambient.carrier())
         self.owner = {}
         for p, ph in enumerate(self.phases):
             for m in self.canon.pieces[ph]:
-                if m not in index:
+                if m not in carrier:
                     raise StabilityError(f"piece at phase {ph} contains {m}, not in the carrier")
                 self.owner.setdefault(m, p)
         self.memo = {}
@@ -310,7 +314,7 @@ def hn_filtration(ambient, sd: StabilityData, x) -> HNFiltration:
 
 # -- validation ------------------------------------------------------------
 
-def validate(ambient, sd: StabilityData, check_hn: bool = True) -> ValidationReport:
+def validate(ambient, sd: StabilityData) -> ValidationReport:
     search = sd.hn_search(ambient)
     report = ValidationReport(valid=True)
     sd = search.canon
@@ -330,7 +334,7 @@ def validate(ambient, sd: StabilityData, check_hn: bool = True) -> ValidationRep
                 for y in canon_members(sd.pieces[lo]):
                     if ambient.hom_nonzero(x, y):
                         report.hom_violations.append((hi, x, lo, y))
-    if check_hn and not report.hom_violations and not report.piece_issues:
+    if not report.hom_violations and not report.piece_issues:
         for x in ambient.hn_scope():
             if not search.chains(x):
                 report.hn_failures.append(x)
@@ -425,15 +429,9 @@ def is_coarser(ambient, coarse: StabilityData, fine: StabilityData):
     return r
 
 
-def equivalent(sd1: StabilityData, sd2: StabilityData, upto_tau: bool = False,
-               ambient=None) -> bool:
-    """Order-preserving bijection matching the pieces; with `upto_tau`, the
-    comparison additionally quotients by the ambient's translation."""
-    if not upto_tau:
-        return sd1.canonicalized().piece_sequence() == sd2.canonicalized().piece_sequence()
-    if ambient is None:
-        raise StabilityError("tau-orbit comparison needs the ambient")
-    return tau_canonical_key(ambient, sd1) == tau_canonical_key(ambient, sd2)
+def equivalent(sd1: StabilityData, sd2: StabilityData) -> bool:
+    """Order-preserving bijection matching the pieces."""
+    return sd1.canonicalized().piece_sequence() == sd2.canonicalized().piece_sequence()
 
 
 def cut_torsion_pair(ambient, sd: StabilityData, lower_phases):
@@ -523,19 +521,9 @@ def candidate_pieces(ambient) -> list:
     return [s for s in enumerate_ext_closed(ambient) if s and _connected(ambient, s)]
 
 
-def _mandatory_objects(ambient) -> list:
-    """Carrier members with no proper decomposition: semistable in any datum."""
-    out = []
-    for x in ambient.hn_scope():
-        if not ambient.decompositions(x):
-            emb = ambient.embed(x)
-            if emb not in out:
-                out.append(emb)
-    return out
-
-
-def _valid_data_over_pieces(ambient, pieces_pool, mandatory=None):
-    """Yield every valid datum whose pieces are drawn from the pool."""
+def _valid_data_over_pieces(ambient, pieces_pool):
+    """Every valid datum whose pieces are drawn from the pool and hold every
+    object with no proper decomposition (semistable in any datum)."""
     ctx = ctx_for(ambient)
     pool = [frozenset(p) for p in pieces_pool]
     masks = [ctx.to_mask(p) for p in pool]
@@ -566,7 +554,8 @@ def _valid_data_over_pieces(ambient, pieces_pool, mandatory=None):
 
         yield from extend(frozenset(chosen))
 
-    mandatory_mask = ctx.to_mask(mandatory or [])
+    mandatory_mask = ctx.to_mask(ambient.embed(x) for x in ambient.hn_scope()
+                                 if not ambient.decompositions(x))
 
     def rec(start, chosen, used_mask):
         if chosen:
@@ -587,12 +576,52 @@ def _valid_data_over_pieces(ambient, pieces_pool, mandatory=None):
     return results
 
 
+def _chain_data(ambient, successors: dict, finest: bool) -> list:
+    """The datum of every chain from the bottom class (the first key) to the
+    carrier along `successors`: the step T < U gives the piece U & T^perp,
+    and the last step phase 1.  A datum failing `validate` (or `is_finest`,
+    when `finest`) raises StabilityError naming it."""
+    ctx = ctx_for(ambient)
+    kind = "finest valid" if finest else "valid"
+    data = []
+    stack = [(next(iter(successors)), [])]  # depth first, without a self-referencing closure
+    while stack:
+        t, pieces = stack.pop()
+        if t == ctx.full_mask:
+            phases = [Phase.integer(i + 1) for i in range(len(pieces))]
+            sd = StabilityData(ExplicitOrder(phases), dict(zip(phases, reversed(pieces))))
+            report = _validate_unkept(ambient, sd)
+            if not (all(pieces) and report.valid and (not finest or is_finest(ambient, sd)[0])):
+                raise StabilityError(f"chain gives {sd}, which is not a {kind} datum: "
+                                     f"{report.summary()}")
+            data.append(sd)
+            continue
+        for u in reversed(successors[t]):
+            stack.append((u, pieces + [ctx.to_set(u & ctx.right_perp_mask(t))]))
+    return data
+
+
 def enumerate_valid(ambient) -> list:
-    """Every valid stability datum up to equivalence (small carriers only)."""
+    """Every valid stability datum up to equivalence (small carriers only),
+    sorted by piece sequence: one per chain of `torsion_lattice`, stepping
+    from each class to every strictly larger one (Gorodentsev-Kuleshov-
+    Rudakov, "t-stabilities and t-structures on triangulated categories")."""
+    from .torsion import torsion_lattice
+
+    covers = torsion_lattice(ambient)
+    larger = {t: tuple(u for u in covers if u != t and t & ~u == 0) for t in covers}
+    out = _chain_data(ambient, larger, finest=False)
+    out.sort(key=_sequence_key)
+    return out
+
+
+def _enumerate_valid_reference(ambient) -> list:
+    """Reference enumeration: validate every datum over the closed pieces
+    (small carriers only)."""
     from .subcat import enumerate_ext_closed
 
     pool = [s for s in enumerate_ext_closed(ambient) if s]
-    out = _valid_data_over_pieces(ambient, pool, mandatory=_mandatory_objects(ambient))
+    out = _valid_data_over_pieces(ambient, pool)
     out.sort(key=_sequence_key)
     return out
 
@@ -603,9 +632,8 @@ def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
     n = len(ambient.carrier())
     if n > bound:
         raise FinestBoundError(f"carrier size {n} exceeds reference-enumeration bound {bound}")
-    data = _valid_data_over_pieces(ambient, candidate_pieces(ambient),
-                                   mandatory=_mandatory_objects(ambient))
-    finest = [sd for sd in data if is_finest(ambient, sd)[0]]
+    finest = [sd for sd in _valid_data_over_pieces(ambient, candidate_pieces(ambient))
+              if is_finest(ambient, sd)[0]]
     finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
     return finest
 
@@ -627,33 +655,12 @@ def enumerate_finest(ambient, upto_tau: bool = False, bound: int = 64) -> list:
     n = len(ambient.carrier())
     if n > bound:
         raise FinestBoundError(f"carrier size {n} exceeds enumeration bound {bound}")
-    covers = torsion_lattice(ambient, bound)
-    ctx = ctx_for(ambient)
-    finest = []
-    stack = [(next(iter(covers)), [])]  # depth first, without a self-referencing closure
-    while stack:
-        t, pieces = stack.pop()
-        if t == ctx.full_mask:
-            phases = [Phase.integer(i + 1) for i in range(len(pieces))]
-            sd = StabilityData(ExplicitOrder(phases), dict(zip(phases, reversed(pieces))))
-            report = _validate_unkept(ambient, sd)
-            if not (all(pieces) and report.valid and is_finest(ambient, sd)[0]):
-                raise StabilityError(f"maximal chain gives {sd}, which is not a finest "
-                                     f"valid datum: {report.summary()}")
-            finest.append(sd)
-            continue
-        for u in reversed(covers[t]):
-            stack.append((u, pieces + [ctx.to_set(u & ctx.right_perp_mask(t))]))
+    finest = _chain_data(ambient, torsion_lattice(ambient, bound), finest=True)
     finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
     if not upto_tau:
         return finest
-    by_key = {}
+    # an orbit's data share their phase count, so its first datum is its minimum
+    reps = {}
     for sd in finest:
-        by_key.setdefault(tau_canonical_key(ambient, sd), []).append(sd)
-    reps = []
-    for key in sorted(by_key):
-        orbit = by_key[key]
-        rep = min(orbit, key=_sequence_key)
-        reps.append(rep)
-    reps.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
-    return reps
+        reps.setdefault(tau_canonical_key(ambient, sd), sd)
+    return list(reps.values())

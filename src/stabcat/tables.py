@@ -29,6 +29,10 @@ TABLE_AMBIENTS = {
 }
 
 
+class FamilyCheckError(ValueError):
+    """A family row of a table fails its own validation."""
+
+
 def _pair_rows(pairs):
     return [p.to_json() for p in pairs]
 
@@ -37,11 +41,21 @@ def _finest_rows(data):
     return [sd.relabeled().to_json() for sd in data]
 
 
+def _checked_row(amb, row, what: str, **extra) -> dict:
+    """`row`'s JSON document plus `extra`, once the torsion pair is valid or
+    the datum is valid and finest; otherwise FamilyCheckError naming `what`."""
+    if isinstance(row, TorsionPair):
+        ok = validate_torsion_pair(amb, row.t, row.f).valid
+    else:
+        ok = validate(amb, row).valid and is_finest(amb, row)[0]
+    if not ok:
+        raise FamilyCheckError(f"{what} failed validation")
+    return {**row.to_json(), **extra}
+
+
 def compute_table(name: str):
     amb = parse_ambient(TABLE_AMBIENTS[name])
-    if name == "a2-torsion":
-        return _pair_rows(enumerate_torsion_pairs(amb))
-    if name == "a3-torsion":
+    if name in ("a2-torsion", "a3-torsion"):
         return _pair_rows(enumerate_torsion_pairs(amb))
     if name == "a3-finest":
         return _finest_rows(enumerate_finest(amb))
@@ -52,61 +66,38 @@ def compute_table(name: str):
     if name == "kron-torsion":
         from .sheaves.kronecker import kron_torsion_family
 
-        rows = []
-        for row, kwargs in [(1, dict(points=())), (1, dict(points=("0",))),
-                            (1, dict(points=("0", "1", "inf"))),
-                            (2, dict(n=1)), (2, dict(n=2)),
-                            (3, dict(n=1)), (3, dict(n=2)),
-                            (4, dict())]:
-            pair = kron_torsion_family(amb, row, **kwargs)
-            if not validate_torsion_pair(amb, pair.t, pair.f).valid:
-                raise AssertionError(f"kronecker family {row} {kwargs} failed validation")
-            rows.append(pair.to_json())
-        return rows
+        return [_checked_row(amb, kron_torsion_family(amb, row, **kwargs),
+                             f"kronecker family {row} {kwargs}")
+                for row, kwargs in [(1, dict(points=())), (1, dict(points=("0",))),
+                                    (1, dict(points=("0", "1", "inf"))),
+                                    (2, dict(n=1)), (2, dict(n=2)),
+                                    (3, dict(n=1)), (3, dict(n=2)),
+                                    (4, dict())]]
     if name == "p1-torsion":
         from .sheaves.p1 import torsion_family_degree, torsion_family_points
 
-        rows = []
-        for pts in [("0",), ("0", "1"), ("0", "1", "lam")]:
-            pair = torsion_family_points(amb, pts)
-            if not validate_torsion_pair(amb, pair.t, pair.f).valid:
-                raise AssertionError(f"p1 point family {pts} failed validation")
-            rows.append(pair.to_json())
-        for n in (-1, 0, 1):
-            pair = torsion_family_degree(amb, n)
-            if not validate_torsion_pair(amb, pair.t, pair.f).valid:
-                raise AssertionError(f"p1 degree family {n} failed validation")
-            rows.append(pair.to_json())
-        return rows
+        return ([_checked_row(amb, torsion_family_points(amb, pts), f"p1 point family {pts}")
+                 for pts in [("0",), ("0", "1"), ("0", "1", "lam")]]
+                + [_checked_row(amb, torsion_family_degree(amb, n), f"p1 degree family {n}")
+                   for n in (-1, 0, 1)])
     if name == "x2-finest":
         from .sheaves.x2 import finest_x2
 
-        rows = []
-        for family, kwargs in [("full", {}), ("coset", {}),
-                               ("lm", dict(m=-1)), ("lm", dict(m=0)), ("lm", dict(m=1))]:
-            sd = finest_x2(amb, family, **kwargs)
-            if not (validate(amb, sd).valid and is_finest(amb, sd)[0]):
-                raise AssertionError(f"x2 finest family {family} {kwargs} failed validation")
-            doc = sd.to_json()
-            doc["family"] = family if family != "lm" else f"lm(m={kwargs['m']})"
-            rows.append(doc)
-        return rows
+        return [_checked_row(amb, finest_x2(amb, family, **kwargs),
+                             f"x2 finest family {family} {kwargs}",
+                             family=family if family != "lm" else f"lm(m={kwargs['m']})")
+                for family, kwargs in [("full", {}), ("coset", {}), ("lm", dict(m=-1)),
+                                       ("lm", dict(m=0)), ("lm", dict(m=1))]]
     if name == "x2-torsion":
         from .sheaves.x2 import x2_torsion_family
 
-        rows = []
-        for row, kwargs in [("I", dict(points=("0",))), ("I", dict(points=("inf",))),
-                            ("I", dict(points=("0", "1", "lam", "inf"))),
-                            ("II", dict(points=())), ("II", dict(points=("0",))),
-                            ("III", dict(points=())), ("III", dict(points=("0", "1"))),
-                            ("IV", dict()), ("V", dict()), ("VI", dict())]:
-            pair = x2_torsion_family(amb, row, **kwargs)
-            if not validate_torsion_pair(amb, pair.t, pair.f).valid:
-                raise AssertionError(f"x2 family {row} {kwargs} failed validation")
-            doc = pair.to_json()
-            doc["family"] = row
-            rows.append(doc)
-        return rows
+        return [_checked_row(amb, x2_torsion_family(amb, row, **kwargs),
+                             f"x2 family {row} {kwargs}", family=row)
+                for row, kwargs in [("I", dict(points=("0",))), ("I", dict(points=("inf",))),
+                                    ("I", dict(points=("0", "1", "lam", "inf"))),
+                                    ("II", dict(points=())), ("II", dict(points=("0",))),
+                                    ("III", dict(points=())), ("III", dict(points=("0", "1"))),
+                                    ("IV", dict()), ("V", dict()), ("VI", dict())]]
     raise KeyError(f"unknown table {name!r}; known: {sorted(TABLE_AMBIENTS)}")
 
 

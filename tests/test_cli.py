@@ -229,6 +229,18 @@ def run_main(capsys, *argv):
     return exc.value.code, out.out, out.err
 
 
+def test_failing_table_family_exit_one(monkeypatch, capsys):
+    """A family row that fails its own validation exits 1 with one line."""
+    import stabcat.tables as tables
+    from stabcat.torsion import TorsionReport
+
+    monkeypatch.setattr(tables, "validate_torsion_pair",
+                        lambda amb, t, f: TorsionReport(valid=False))
+    code, _, err = run_main(capsys, "verify-table", "p1-torsion")
+    assert code == 1
+    assert err.strip() == "error: p1 point family ('0',) failed validation"
+
+
 @pytest.mark.parametrize("spec, limit", [
     ("p1:window=-1..1:points=-1", 6),
     ("x2:window=-1..1:points=-1", 3),

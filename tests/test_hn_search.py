@@ -244,6 +244,19 @@ def test_search_follows_the_ambient():
     assert validate(a, sd).valid and validate(b, sd).valid
 
 
+@pytest.mark.parametrize("make, datum", [
+    (lambda: P1Ambient(-20, 20, 6), finest_p1),
+    (lambda: X2Ambient(-12, 12, 3), lambda a: finest_x2(a, "full"))], ids=["p1", "x2"])
+def test_hn_filtration_builds_no_carrier_tables(make, datum):
+    """`hn_filtration` on a fresh ambient checks pieces against the carrier
+    only: the Hom and middle-term tables are never built."""
+    amb = make()
+    sd = datum(amb)
+    for x in (amb.hn_scope()[0], amb.hn_scope()[-1]):
+        hn_filtration(amb, sd, x)
+    assert getattr(amb, "_carrier_ctx", None) is None
+
+
 def test_pieces_are_read_only():
     amb = IntervalAmbient(2)
     sd = enumerate_finest(amb)[0]

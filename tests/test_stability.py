@@ -5,10 +5,13 @@ import weakref
 import pytest
 
 import stabcat.stability as stability
+import stabcat.subcat as subcat
 from stabcat.ambient import IntervalAmbient, TubeAmbient
+from stabcat.ambients import parse_ambient
 from stabcat.phases import ExplicitOrder, Phase
 from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
-                               _enumerate_finest_reference, all_cuts, cut_torsion_pair,
+                               _enumerate_finest_reference, _enumerate_valid_reference,
+                               all_cuts, cut_torsion_pair,
                                enumerate_finest, enumerate_valid, equivalent, hn_chains,
                                hn_filtration, is_coarser, is_finest, refine_to_finest,
                                split_phase, tau_orbit_size, tau_translate, validate)
@@ -238,6 +241,62 @@ def test_enumerate_valid_a2():
     }
 
 
+def test_enumerate_valid_matches_reference():
+    """The walk over all chains of the torsion-class lattice returns exactly
+    the data that validating every datum over the closed pieces finds, in
+    the same order."""
+    specs = ["an:1", "an:2", "an:3", "tube:1", "tube:2", "tube:3", "p1:window=-1..1:points=2"]
+    for spec in specs:
+        walked = [seq_strs(sd) for sd in enumerate_valid(parse_ambient(spec))]
+        assert walked == [seq_strs(sd) for sd in _enumerate_valid_reference(parse_ambient(spec))]
+
+
+def test_enumerate_valid_counts():
+    assert len(enumerate_valid(IntervalAmbient(3))) == 81
+    assert len(enumerate_valid(TubeAmbient(2))) == 7
+    assert len(enumerate_valid(TubeAmbient(3))) == 181
+
+
+def test_enumerate_valid_x2_reported_members_match_reference():
+    """On X(2) the two enumerations place the margin objects (line bundles
+    below the reported window) differently, and agree on the reported
+    members."""
+    def reported_keys(amb, data):
+        reported = frozenset(amb.reported_members())
+        keys = set()
+        for sd in data:
+            pieces = [tuple(str(m) for m in canon_members(p & reported))
+                      for p in sd.piece_sequence()]
+            keys.add(tuple(p for p in pieces if p))
+        return keys
+
+    spec = "x2:window=0..0:points=0"
+    walked, reference = parse_ambient(spec), parse_ambient(spec)
+    keys = reported_keys(walked, enumerate_valid(walked))
+    assert len(keys) == 44
+    assert keys == reported_keys(reference, _enumerate_valid_reference(reference))
+
+
+def test_enumerate_valid_raises_on_bad_chain(monkeypatch):
+    """A chain datum that fails validation is reported, never dropped."""
+    monkeypatch.setattr(stability, "validate",
+                        lambda amb, sd: stability.ValidationReport(valid=False))
+    with pytest.raises(StabilityError, match="not a valid datum"):
+        enumerate_valid(IntervalAmbient(2))
+
+
+def test_enumerations_skip_the_reference_path(monkeypatch):
+    """Both production enumerations read the torsion-class lattice only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference enumeration path reached")
+
+    monkeypatch.setattr(stability, "_valid_data_over_pieces", refuse)
+    monkeypatch.setattr(subcat, "enumerate_ext_closed", refuse)
+    t3 = TubeAmbient(3)
+    assert len(enumerate_valid(t3)) == 181
+    assert len(enumerate_finest(t3)) == 12
+
+
 def test_enumerate_finest_counts():
     assert len(enumerate_finest(IntervalAmbient(2))) == 2
     assert len(enumerate_finest(IntervalAmbient(3))) == 9
@@ -293,16 +352,17 @@ def test_tube_census():
 
 def test_enumerate_finest_leaves_no_cycle():
     """With the cyclic collector off, the ambient dies as soon as it and the
-    result are dropped: the enumeration leaves no reference cycle behind."""
+    result are dropped: neither enumeration leaves a reference cycle behind."""
     gc.collect()
     gc.disable()
     try:
-        amb = TubeAmbient(3)
-        ref = weakref.ref(amb)
-        finest = enumerate_finest(amb)
-        assert len(finest) == 12
-        del amb, finest
-        assert ref() is None
+        for enumerate_data, count in ((enumerate_finest, 12), (enumerate_valid, 181)):
+            amb = TubeAmbient(3)
+            ref = weakref.ref(amb)
+            data = enumerate_data(amb)
+            assert len(data) == count
+            del amb, data
+            assert ref() is None
     finally:
         gc.enable()
 
