@@ -12,6 +12,7 @@ periodic families need sequences longer than the budget allows.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 from . import oracle, tube
@@ -41,6 +42,14 @@ class CheckResult:
         return f"{self.name}: {self.total} cases, {status}"
 
 
+def _pool_map(fn, tasks, jobs: int) -> list:
+    """fn over tasks in a process pool of min(jobs, os.cpu_count()) workers."""
+    import multiprocessing as mp
+
+    with mp.Pool(min(jobs, os.cpu_count() or 1)) as pool:
+        return pool.map(fn, tasks)
+
+
 def _tube_objects(n: int, max_len: int):
     return [TubeIndec(n, j, t) for j in range(n) for t in range(1, max_len + 1)]
 
@@ -64,12 +73,9 @@ def check_tube_hom(n_max: int = 4, p: int = 2, jobs: int = 1) -> CheckResult:
         objs = _tube_objects(n, 2 * n)
         pairs.extend((x, y) for x in objs for y in objs)
     if jobs > 1:
-        import multiprocessing as mp
-
         chunk = max(1, len(pairs) // (4 * jobs))
         tasks = [(p, pairs[i:i + chunk]) for i in range(0, len(pairs), chunk)]
-        with mp.Pool(jobs) as pool:
-            batches = pool.map(_hom_chunk, tasks)
+        batches = _pool_map(_hom_chunk, tasks, jobs)
         records = [rec for batch in batches for rec in batch]
     else:
         records = _hom_chunk((p, pairs))
@@ -155,13 +161,10 @@ def check_tube_closure(n: int, length_bound: int = 6, p: int = 2,
         gen_sets += list(itertools.combinations(reps, k))
     gen_sets = [g for g in gen_sets if all(x.rt <= length_bound for x in g)]
     if jobs > 1:
-        import multiprocessing as mp
-
         chunk = max(1, len(gen_sets) // (4 * jobs))
         tasks = [(n, length_bound, p, gen_sets[i:i + chunk])
                  for i in range(0, len(gen_sets), chunk)]
-        with mp.Pool(jobs) as pool:
-            batches = pool.map(_closure_chunk, tasks)
+        batches = _pool_map(_closure_chunk, tasks, jobs)
         records = [rec for batch in batches for rec in batch]
     else:
         records = _closure_chunk((n, length_bound, p, gen_sets))

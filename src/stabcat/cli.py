@@ -179,6 +179,8 @@ def cmd_verify_table(args):
 
 
 def cmd_oracle_check(args):
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}", EXIT_PARSE)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     worst = EXIT_OK
     for name in names:

@@ -6,7 +6,11 @@ quiver with arrows v -> v-1 (the rank-n tube), ("linear", n) the quiver
 are intertwiner kernels; extensions are found by enumerating injections and
 decomposing cokernels, never by any combinatorial shortcut.  Decomposition
 works by Hom-count fingerprinting against the precomputed table of Hom
-dimensions between indecomposables (cyclic and linear shapes only).
+dimensions between indecomposables (cyclic and linear shapes only).  The
+same table filters the candidate middle terms: Hom(X, -) and Hom(-, X) are
+left exact, so a middle term E of 0 -> A -> E -> B -> 0 obeys exact
+Hom-dimension bounds against every indecomposable X, and a candidate that
+fails them is dropped before any injection is tried.
 """
 
 from __future__ import annotations
@@ -69,7 +73,11 @@ def arrows(shape):
 
 class QuiverRep:
     """Dimension per vertex and one GF(p) matrix (a list of rows, see `gf`)
-    per arrow, of shape dims[target] x dims[source]."""
+    per arrow, of shape dims[target] x dims[source].
+
+    With check=False, for representations built inside this module, the
+    map rows are taken as given (already reduced mod p) and nilpotency is
+    not tested; the map shapes are checked either way."""
 
     def __init__(self, shape, p, dims, maps, check: bool = True):
         gf.check_prime(p)
@@ -82,7 +90,8 @@ class QuiverRep:
             m = maps.get(key)
             if m is None:
                 m = gf.zeros(rows, cols)
-            m = gf.mat(m, p)
+            elif check:
+                m = gf.mat(m, p)
             if len(m) != rows or any(len(row) != cols for row in m):
                 got = (len(m), len(m[0]) if m else 0)
                 raise OracleError(f"map {key} has shape {got}, expected {(rows, cols)}")
@@ -282,22 +291,6 @@ def socle_dims(r: QuiverRep):
     return out
 
 
-def top_dims(r: QuiverRep):
-    """Multiplicity of each simple in the top: cokernel of all in-arrows."""
-    out = {}
-    for v in vertices(r.shape):
-        stacks = [r.maps[key] for key, _, tgt in arrows(r.shape) if tgt == v]
-        side_by_side = [sum(rows, []) for rows in zip(*stacks)]
-        out[v] = r.dims[v] - gf.rank(side_by_side, r.p)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _desc_socle_top(shape, d, p):
-    rep = build_indec(shape, d, p)
-    return dict(socle_dims(rep)), dict(top_dims(rep))
-
-
 # -- fingerprint decomposition --------------------------------------------
 
 def _universe(shape, max_len: int):
@@ -401,24 +394,61 @@ def _desc_dims(shape, d, p):
     return dict(build_indec(shape, d, p).dims)
 
 
-def _candidate_multisets(shape, p, target_dims, max_len):
-    """All descriptor multisets whose dimension vectors sum to target."""
-    descs = _universe(shape, max_len)
-    descs = [d for d in descs
-             if all(_desc_dims(shape, d, p)[v] <= target_dims[v] for v in target_dims)]
+def _hom_profile(descs, table, multiset):
+    """(into, out) with into[i] = [X_i, M] and out[i] = [M, X_i], where M is
+    the direct sum of `multiset` and X_i = descs[i] (Hom dimensions)."""
+    into = tuple(sum(table[(x, d)] for d in multiset) for x in descs)
+    out = tuple(sum(table[(d, x)] for d in multiset) for x in descs)
+    return into, out
+
+
+@lru_cache(maxsize=None)
+def _candidates(shape, p, target, max_len):
+    """Every descriptor multiset E whose dimension vectors sum to `target`
+    (a sorted (vertex, dim) tuple), each as (E, into, out) with the Hom
+    profile of `_hom_profile` over `_hom_table(shape, p, max_len)`."""
+    descs, table = _hom_table(shape, p, max_len)
+    verts = [v for v, _ in target]
+    dims_of = {d: tuple(_desc_dims(shape, d, p)[v] for v in verts) for d in descs}
+    pool = [d for d in descs if all(x <= t for x, (_, t) in zip(dims_of[d], target))]
     out = []
+    # depth-first in pool order; a child never takes an earlier pool entry,
+    # so each E comes out once
+    stack = [(0, tuple(t for _, t in target), ())]
+    while stack:
+        start, remaining, acc = stack.pop()
+        if not any(remaining):
+            e = tuple(sorted(acc, key=str))
+            out.append((e,) + _hom_profile(descs, table, e))
+            continue
+        children = []
+        for i in range(start, len(pool)):
+            dd = dims_of[pool[i]]
+            if all(x <= r for x, r in zip(dd, remaining)):
+                children.append((i, tuple(r - x for r, x in zip(remaining, dd)), acc + (pool[i],)))
+        stack.extend(reversed(children))
+    return tuple(out)
 
-    def rec(start, remaining, acc):
-        if all(x == 0 for x in remaining.values()):
-            out.append(tuple(sorted(acc, key=str)))
-            return
-        for i in range(start, len(descs)):
-            dd = _desc_dims(shape, descs[i], p)
-            if all(dd[v] <= remaining[v] for v in remaining):
-                rec(i, {v: remaining[v] - dd[v] for v in remaining}, acc + [descs[i]])
 
-    rec(0, dict(target_dims), [])
-    return out
+def _hom_bounds_admit(e, a, b, a_idx, b_idx) -> bool:
+    """Whether E can be the middle term of a non-split 0 -> A -> E -> B -> 0.
+
+    e, a, b are the `_hom_profile`s of E, A and B; a_idx and b_idx are the
+    table positions of the summands of A and B, with multiplicity.  Writing
+    [M, N] for dim Hom(M, N), left exactness of Hom(X, -) and Hom(-, X) gives,
+    for every X in the table,
+        [X, A] <= [X, E] <= [X, A] + [X, B],  [B, X] <= [E, X] <= [A, X] + [B, X],
+    and non-splitness gives [B, E] <= [B, A] + [B, B] - 1 (id_B does not
+    lift) and [E, A] <= [B, A] + [A, A] - 1 (id_A does not extend)."""
+    (e_into, e_out), (a_into, a_out), (b_into, b_out) = e, a, b
+    if any(xe < xa or xe > xa + xb for xe, xa, xb in zip(e_into, a_into, b_into)):
+        return False
+    if any(ye < yb or ye > ya + yb for ye, ya, yb in zip(e_out, a_out, b_out)):
+        return False
+    b_to_a = sum(a_into[i] for i in b_idx)
+    if sum(e_into[i] for i in b_idx) > b_to_a + sum(b_into[i] for i in b_idx) - 1:
+        return False
+    return sum(e_out[i] for i in a_idx) <= b_to_a + sum(a_into[i] for i in a_idx) - 1
 
 
 def _projective_coeff_vectors(r, p):
@@ -561,15 +591,22 @@ def _sub_quotient_classes(shape, p: int, e_multiset, dims_query):
 _MIDDLE_CACHE = {}
 
 
+def _names(multiset) -> str:
+    return "+".join(str(d) for d in multiset)
+
+
 def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int | None = None):
     """Middle-term multisets of non-split 0 -> ⊕A -> E -> ⊕B -> 0.
 
     Exhaustive over all candidate multisets E of the right dimension vector.
-    For indecomposable A the full Hom(A, E) space is swept map by map
-    (injectivity + cokernel decomposition); for decomposable A the
-    arrow-stable submodules of E are enumerated instead, which tests the
-    same condition (the image of an injection is a submodule isomorphic to
-    ⊕A and conversely).  The split multiset A + B is excluded by definition.
+    Each candidate is first held to the exact Hom bounds of
+    `_hom_bounds_admit`, read off the oracle's own Hom table; only the
+    survivors reach linear algebra.  For indecomposable A the full Hom(A, E)
+    space is swept map by map (injectivity + cokernel decomposition); for
+    decomposable A the arrow-stable submodules of E are enumerated instead,
+    which tests the same condition (the image of an injection is a submodule
+    isomorphic to ⊕A and conversely).  The split multiset A + B is excluded
+    by definition.
     """
     a_multiset = tuple(sorted(a_multiset, key=str))
     b_multiset = tuple(sorted(b_multiset, key=str))
@@ -579,35 +616,21 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
     budget = budget or budget_limit()
     a_rep = direct_sum([build_indec(shape, d, p) for d in a_multiset])
     b_rep = direct_sum([build_indec(shape, d, p) for d in b_multiset])
-    target = {v: a_rep.dims[v] + b_rep.dims[v] for v in vertices(shape)}
+    verts = vertices(shape)
+    target = tuple((v, a_rep.dims[v] + b_rep.dims[v]) for v in verts)
     total_len = a_rep.total_dim() + b_rep.total_dim()
     split = tuple(sorted(a_multiset + b_multiset, key=str))
-    verts = vertices(shape)
     dims_query = tuple(sorted(a_rep.dims.items()))
     by_maps = len(a_multiset) == 1
-    verts_list = vertices(shape)
-    a_socle = {v: 0 for v in verts_list}
-    for d in a_multiset:
-        for v, k in _desc_socle_top(shape, d, p)[0].items():
-            a_socle[v] += k
-    b_top = {v: 0 for v in verts_list}
-    for d in b_multiset:
-        for v, k in _desc_socle_top(shape, d, p)[1].items():
-            b_top[v] += k
+    descs, table = _hom_table(shape, p, total_len)
+    pos = {d: i for i, d in enumerate(descs)}
+    a_idx = [pos[d] for d in a_multiset]
+    b_idx = [pos[d] for d in b_multiset]
+    a_prof = _hom_profile(descs, table, a_multiset)
+    b_prof = _hom_profile(descs, table, b_multiset)
     found = set()
-    for cand in _candidate_multisets(shape, p, target, total_len):
-        if cand == split:
-            continue
-        # the socle of the sub embeds in the socle of E and the top of the
-        # quotient is a quotient of the top of E
-        e_socle = {v: 0 for v in verts_list}
-        e_top = {v: 0 for v in verts_list}
-        for d in cand:
-            st_ = _desc_socle_top(shape, d, p)
-            for v in verts_list:
-                e_socle[v] += st_[0][v]
-                e_top[v] += st_[1][v]
-        if any(a_socle[v] > e_socle[v] or b_top[v] > e_top[v] for v in verts_list):
+    for cand, into, out in _candidates(shape, p, target, total_len):
+        if cand == split or not _hom_bounds_admit((into, out), a_prof, b_prof, a_idx, b_idx):
             continue
         e_rep = direct_sum([build_indec(shape, d, p) for d in cand])
         if by_maps:
@@ -616,7 +639,9 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
             if r == 0:
                 continue
             if p ** r > budget:
-                raise BudgetExceededError(f"Hom enumeration needs {p ** r} maps, budget {budget}")
+                raise BudgetExceededError(
+                    f"Hom enumeration needs {p ** r} maps, budget {budget} "
+                    f"(A = {_names(a_multiset)}, B = {_names(b_multiset)}, E = {_names(cand)})")
             for coeffs in _projective_coeff_vectors(r, p):
                 fmap = _assemble(basis, coeffs, verts, p)
                 if not _is_injective(fmap, a_rep, p):
@@ -630,7 +655,9 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
             for v, k in dims_query:
                 n_tuples *= _gauss_count(e_rep.dims[v], k, p)
             if n_tuples > budget:
-                raise BudgetExceededError(f"submodule enumeration needs {n_tuples} tuples, budget {budget}")
+                raise BudgetExceededError(
+                    f"submodule enumeration needs {n_tuples} tuples, budget {budget} "
+                    f"(A = {_names(a_multiset)}, B = {_names(b_multiset)}, E = {_names(cand)})")
             classes = _sub_quotient_classes(shape, p, cand, dims_query)
             if (a_multiset, b_multiset) in classes:
                 found.add(cand)

@@ -66,6 +66,9 @@ def test_budget_violation_exit_four():
     out = run_cli("oracle-check", "tube-middle", env_extra={"STABCAT_BUDGET": "1"})
     assert out.returncode == 4
     assert "budget" in out.stderr.lower()
+    # the witness: both end terms, the candidate middle term, the count and the budget
+    assert out.stderr.strip() == ("budget exceeded: Hom enumeration needs 2 maps, budget 1 "
+                                  "(A = S0^(1)@1, B = S0^(1)@1, E = S0^(2)@1)")
 
 
 def test_enumeration_bound_exit_four():
@@ -138,6 +141,60 @@ def test_jobs_flag_result_independent():
     four = run_cli("oracle-check", "tube-hom", "--jobs", "4")
     assert one.returncode == four.returncode == 0
     assert one.stdout.replace("jobs=1", "jobs=N") == four.stdout.replace("jobs=4", "jobs=N")
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in process."""
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(monkeypatch, capsys, jobs):
+    import multiprocessing
+
+    from stabcat import cli
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["oracle-check", "tube-socle", "--jobs", jobs])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert _RecordingPool.sizes == []
+
+
+def test_jobs_pool_capped_at_cpu_count(monkeypatch):
+    import multiprocessing
+
+    from stabcat import checks
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 3)
+    one = checks.check_tube_hom(n_max=2, jobs=1)
+    many = checks.check_tube_hom(n_max=2, jobs=10 ** 6)
+    two = checks.check_tube_hom(n_max=2, jobs=2)
+    closure = checks.check_tube_closure(1, length_bound=3, jobs=50)
+    assert _RecordingPool.sizes == [3, 2, 3]
+    assert one.ok and many.ok and two.ok and closure.ok
+    assert one.total == many.total == two.total
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: None)
+    checks.check_tube_hom(n_max=1, jobs=4)
+    assert _RecordingPool.sizes == [3, 2, 3, 1]
 
 
 def test_verify_table_mismatch_prints_diff(monkeypatch):

@@ -87,9 +87,19 @@ def test_closure_fixpoint_examples():
 
 def test_budget_rejection():
     oracle._MIDDLE_CACHE.pop((("cyclic", 1), 2, (TubeIndec(1, 0, 2),), (TubeIndec(1, 0, 2),)), None)
-    with pytest.raises(oracle.BudgetExceededError):
+    # the first candidate past the Hom bounds is S^(3)+S^(1), with dim Hom(A, E) = 3
+    with pytest.raises(oracle.BudgetExceededError,
+                       match=r"needs 8 maps, budget 1 \(A = S0\^\(2\)@1, B = S0\^\(2\)@1, "
+                             r"E = S0\^\(1\)@1\+S0\^\(3\)@1\)"):
         oracle.middle_terms_bruteforce(("cyclic", 1), TubeIndec(1, 0, 2), TubeIndec(1, 0, 2),
                                        p=2, budget=1)
+    s1 = TubeIndec(1, 0, 1)
+    oracle._MIDDLE_CACHE.pop((("cyclic", 1), 2, (s1, s1), (s1,)), None)
+    # decomposable A: E = S^(1)+S^(2) has 7 two-dimensional subspaces
+    with pytest.raises(oracle.BudgetExceededError,
+                       match=r"needs 7 tuples, budget 1 \(A = S0\^\(1\)@1\+S0\^\(1\)@1, "
+                             r"B = S0\^\(1\)@1, E = S0\^\(1\)@1\+S0\^\(2\)@1\)"):
+        oracle.middle_terms_of_sums(("cyclic", 1), (s1, s1), (s1,), p=2, budget=1)
 
 
 def test_submodule_path_agrees_with_map_path():
@@ -100,17 +110,115 @@ def test_submodule_path_agrees_with_map_path():
             by_maps = oracle.middle_terms_of_sums(shape, (a,), (b,))
             a_rep = oracle.build_indec(shape, a, 2)
             dims_query = tuple(sorted(a_rep.dims.items()))
-            target = {v: a_rep.dims[v] + oracle.build_indec(shape, b, 2).dims[v]
-                      for v in oracle.vertices(shape)}
+            target = tuple((v, a_rep.dims[v] + oracle.build_indec(shape, b, 2).dims[v])
+                           for v in oracle.vertices(shape))
             split = tuple(sorted((a, b), key=str))
             by_subs = set()
-            for cand in oracle._candidate_multisets(shape, 2, target, a.t + b.t):
+            for cand, _, _ in oracle._candidates(shape, 2, target, a.t + b.t):
                 if cand == split:
                     continue
                 classes = oracle._sub_quotient_classes(shape, 2, cand, dims_query)
                 if ((a,), (b,)) in classes:
                     by_subs.add(cand)
             assert by_maps == frozenset(by_subs), (str(a), str(b))
+
+
+def test_candidates_cover_every_multiset_with_exact_hom_profiles():
+    from collections import Counter
+    from itertools import combinations_with_replacement
+
+    shape, p, max_len = ("cyclic", 2), 3, 4
+    target = ((0, 2), (1, 2))
+    descs, _ = oracle._hom_table(shape, p, max_len)
+    got = oracle._candidates(shape, p, target, max_len)
+    assert got is oracle._candidates(shape, p, target, max_len)
+    expected = set()
+    for k in range(1, 5):
+        for ms in combinations_with_replacement(descs, k):
+            dims = Counter()
+            for d in ms:
+                dims.update(oracle.build_indec(shape, d, p).dims)
+            if all(dims[v] == t for v, t in target):
+                expected.add(tuple(sorted(ms, key=str)))
+    assert [e for e, _, _ in got] != [] and len(got) == len(expected)
+    assert {e for e, _, _ in got} == expected
+    for e, into, out in got:
+        e_rep = oracle.direct_sum([oracle.build_indec(shape, d, p) for d in e])
+        for x, i, o in zip(descs, into, out):
+            x_rep = oracle.build_indec(shape, x, p)
+            assert (i, o) == (oracle.hom_dim(x_rep, e_rep), oracle.hom_dim(e_rep, x_rep))
+
+
+def _middle_terms_unbounded(monkeypatch, queries):
+    """middle_terms_of_sums on each (shape, a, b, p) with every candidate
+    admitted past the Hom bounds and an empty middle-term cache."""
+    admitted = []
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_hom_bounds_admit", lambda *args: admitted.append(args) or True)
+        m.setattr(oracle, "_MIDDLE_CACHE", {})
+        out = [oracle.middle_terms_of_sums(shape, a, b, p=p) for shape, a, b, p in queries]
+    assert admitted
+    return out
+
+
+def _assert_bounds_agree(monkeypatch, queries):
+    bounded = [oracle.middle_terms_of_sums(shape, a, b, p=p) for shape, a, b, p in queries]
+    for q, got, ref in zip(queries, bounded, _middle_terms_unbounded(monkeypatch, queries)):
+        assert got == ref, q
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_bounds_agree_with_unbounded_sweep_on_tube_pairs(monkeypatch, p):
+    queries = []
+    for n in (1, 2, 3):
+        objs = [TubeIndec(n, j, t) for j in range(n) for t in range(1, 5)]
+        queries += [(("cyclic", n), (a,), (b,), p) for a in objs for b in objs if a.t + b.t <= 5]
+    assert len(queries) == 140
+    _assert_bounds_agree(monkeypatch, queries)
+
+
+def test_hom_bounds_agree_with_unbounded_sweep_on_interval_pairs(monkeypatch):
+    from stabcat.intervals import all_intervals
+
+    queries = [(("linear", n), (a,), (b,), 2)
+               for n in range(1, 5) for a in all_intervals(n) for b in all_intervals(n)]
+    assert len(queries) == 146
+    _assert_bounds_agree(monkeypatch, queries)
+
+
+def test_hom_bounds_agree_with_unbounded_sweep_on_t2_closure_queries(monkeypatch):
+    # the decomposable-end queries one closure sweep over T_2 issues
+    shape = ("cyclic", 2)
+    seen = []
+    sweep = oracle.middle_terms_of_sums
+
+    def record(shape_, a, b, p=2, budget=None):
+        seen.append((shape_, tuple(a), tuple(b), p))
+        return sweep(shape_, a, b, p=p, budget=budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "middle_terms_of_sums", record)
+        oracle.closure_fixpoint_bruteforce(shape, [TubeIndec(2, 0, 1), TubeIndec(2, 1, 2)], 5, 2)
+    queries = sorted({q for q in seen if len(q[1]) > 1 or len(q[2]) > 1}, key=str)
+    assert len(queries) >= 20
+    _assert_bounds_agree(monkeypatch, queries)
+
+
+def test_hom_bounds_prune_before_linear_algebra(monkeypatch):
+    shape, s2 = ("cyclic", 1), TubeIndec(1, 0, 2)
+    calls = []
+    hom_basis = oracle.hom_basis
+
+    def counting(r1, r2):
+        calls.append((r1.total_dim(), r2.total_dim()))
+        return hom_basis(r1, r2)
+
+    monkeypatch.setattr(oracle, "hom_basis", counting)
+    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
+    got = oracle.middle_terms_bruteforce(shape, s2, s2)
+    # S^(2)+S^(1)+S^(1) and S^(1)^4 have too large a socle: [S^(1), E] > [S^(1), A] + [S^(1), B]
+    assert len(calls) == 2
+    assert strs(got) == {("S0^(4)@1",), ("S0^(1)@1", "S0^(3)@1")}
 
 
 def test_socle_dims():
@@ -123,6 +231,23 @@ def test_socle_dims():
 def test_nilpotency_enforced():
     with pytest.raises(oracle.OracleError, match="nilpotent"):
         oracle.QuiverRep(("cyclic", 1), 2, {0: 1}, {("c", 0): [[1]]})
+    with pytest.raises(oracle.OracleError, match="nilpotent"):
+        oracle.QuiverRep(("cyclic", 2), 3, {0: 1, 1: 1}, {("c", 0): [[4]], ("c", 1): [[2]]})
+
+
+def test_public_rep_reduces_entries_mod_p():
+    rep = oracle.QuiverRep(("linear", 2), 3, {1: 1, 2: 2}, {("l", 1): [[4], [-1]]})
+    assert rep.maps[("l", 1)] == [[1], [2]]
+    rep = oracle.QuiverRep(("cyclic", 2), 2, {0: 1, 1: 1}, {("c", 1): [[3]]})
+    assert rep.maps == {("c", 0): [[0]], ("c", 1): [[1]]}
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_rep_map_shape_checked_in_both_modes(check):
+    with pytest.raises(oracle.OracleError, match=r"expected \(1, 1\)"):
+        oracle.QuiverRep(("linear", 2), 2, {1: 1, 2: 1}, {("l", 1): [[1, 0]]}, check=check)
+    with pytest.raises(oracle.OracleError, match=r"expected \(2, 1\)"):
+        oracle.QuiverRep(("linear", 2), 2, {1: 1, 2: 2}, {("l", 1): [[1]]}, check=check)
 
 
 def test_subobject_chain_matches_submodule_lattice():
