@@ -591,8 +591,10 @@ def _sub_quotient_classes(shape, p: int, e_multiset, dims_query):
 _MIDDLE_CACHE = {}
 
 
-def _names(multiset) -> str:
-    return "+".join(str(d) for d in multiset)
+def _witness(a_multiset, b_multiset, e_multiset) -> str:
+    """The end terms and the candidate middle term, for a budget message."""
+    names = ("+".join(str(d) for d in ms) for ms in (a_multiset, b_multiset, e_multiset))
+    return "(A = {}, B = {}, E = {})".format(*names)
 
 
 def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int | None = None):
@@ -639,9 +641,8 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
             if r == 0:
                 continue
             if p ** r > budget:
-                raise BudgetExceededError(
-                    f"Hom enumeration needs {p ** r} maps, budget {budget} "
-                    f"(A = {_names(a_multiset)}, B = {_names(b_multiset)}, E = {_names(cand)})")
+                raise BudgetExceededError(f"Hom enumeration needs {p ** r} maps, budget {budget} "
+                                          + _witness(a_multiset, b_multiset, cand))
             for coeffs in _projective_coeff_vectors(r, p):
                 fmap = _assemble(basis, coeffs, verts, p)
                 if not _is_injective(fmap, a_rep, p):
@@ -655,9 +656,8 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
             for v, k in dims_query:
                 n_tuples *= _gauss_count(e_rep.dims[v], k, p)
             if n_tuples > budget:
-                raise BudgetExceededError(
-                    f"submodule enumeration needs {n_tuples} tuples, budget {budget} "
-                    f"(A = {_names(a_multiset)}, B = {_names(b_multiset)}, E = {_names(cand)})")
+                raise BudgetExceededError(f"submodule enumeration needs {n_tuples} tuples, "
+                                          f"budget {budget} " + _witness(a_multiset, b_multiset, cand))
             classes = _sub_quotient_classes(shape, p, cand, dims_query)
             if (a_multiset, b_multiset) in classes:
                 found.add(cand)
