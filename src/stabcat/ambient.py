@@ -13,9 +13,12 @@ quotient one phase owns, below the phases the sub's chains end in.  The
 default filters `decompositions`; the sheaf models generate the admissible
 torsion spreads of a line bundle directly (`slotted_spreads`).
 
-Tube carriers use segment representatives (lengths capped at 2n); validation
+The base class also stores the spec-string name and the carrier, sorted by
+`str`.  A tube carrier member is a plain segment of length 1..2n, one of
+length above n standing for its periodic family (`tube.family`); validation
 additionally walks actual segments of length up to 3n, membership being
-decided through truncation.  Sheaf-window ambients live in stabcat.sheaves.
+decided through truncation (`tube.truncate_rep`).  Sheaf-window ambients
+live in stabcat.sheaves.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import wraps
 from . import tube
 from .intervals import (all_intervals, chain_splits_interval, hom_nonzero_interval,
                         middle_terms_interval, parse_interval)
-from .tube import SegmentRep, TubeIndec, parse_tube, truncate_rep
+from .tube import TubeIndec, parse_tube, truncate_rep
 
 FAMILY_INSTANCES = 3
 
@@ -86,6 +89,14 @@ class WindowError(AmbientError):
     """A requested construction does not fit the configured window."""
 
 
+def sample_points(names: tuple, count: int) -> tuple:
+    """The first `count` of a model's sample points; AmbientError unless
+    0 <= count <= len(names)."""
+    if not 0 <= count <= len(names):
+        raise AmbientError(f"the point count must lie in 0..{len(names)}, got {count}")
+    return names[:count]
+
+
 def positive(descriptor: str, digits: str) -> int:
     """A length or index read from `descriptor`; AmbientError below 1."""
     value = int(digits)
@@ -95,12 +106,15 @@ def positive(descriptor: str, digits: str) -> int:
 
 
 class Ambient:
-    """Interface shared by all finite models."""
+    """Interface shared by all finite models: `name` is the model's spec
+    string and the carrier is kept sorted by `str`."""
 
-    name = "ambient"
+    def __init__(self, name: str, members):
+        self.name = name
+        self._carrier = tuple(sorted(members, key=str))
 
     def carrier(self) -> tuple:
-        raise NotImplementedError
+        return self._carrier
 
     def reported_members(self) -> tuple:
         """Carrier members inside the reported window (everything, unless the
@@ -204,41 +218,26 @@ class Ambient:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        return self.name
 
 
 class TubeAmbient(Ambient):
-    """The rank-n tube on segment representatives."""
+    """The rank-n tube.  Carrier members are the segments of length 1..2n;
+    one of length above n stands for its periodic family, and `embed`
+    truncates any segment to the member standing for it."""
 
     def __init__(self, n: int):
         if n < 1:
             raise AmbientError("tube rank must be >= 1")
         self.n = n
-        self.name = f"tube:{n}"
-        self._carrier = tuple(sorted(
-            (SegmentRep(n, j, rt) for j in range(n) for rt in range(1, 2 * n + 1)),
-            key=str))
-
-    def spec_string(self) -> str:
-        return self.name
-
-    def carrier(self) -> tuple:
-        return self._carrier
-
-    def _as_rep(self, x) -> SegmentRep:
-        if isinstance(x, SegmentRep):
-            return x
-        if isinstance(x, TubeIndec):
-            return truncate_rep(x)
-        raise AmbientError(f"not a tube descriptor: {x!r}")
+        super().__init__(f"tube:{n}", (TubeIndec(n, j, t)
+                                       for j in range(n) for t in range(1, 2 * n + 1)))
 
     def hom_nonzero(self, x, y) -> bool:
-        # soc/top/factor set only depend on the representative
-        a, b = self._as_rep(x), self._as_rep(y)
-        return tube.hom_nonzero(TubeIndec(self.n, a.j, a.rt), TubeIndec(self.n, b.j, b.rt))
+        return tube.hom_nonzero(x, y)
 
     def _instances(self, x) -> list:
-        return self._as_rep(x).instances(FAMILY_INSTANCES)
+        return [TubeIndec(self.n, x.j, t) for t in tube.family(x.t, self.n, FAMILY_INSTANCES)]
 
     def _middles_actual(self, a, b):
         return tube.middle_terms(a, b)
@@ -248,28 +247,19 @@ class TubeAmbient(Ambient):
                      for t in range(1, 3 * self.n + 1) for j in range(self.n))
 
     def embed(self, x):
-        if isinstance(x, SegmentRep):
-            return x
         return truncate_rep(x)
 
     def decompositions(self, x) -> tuple:
-        if isinstance(x, SegmentRep):
-            x = x.instances(1)[0]
         return tuple(((s,), (q,)) for s, q in tube.chain_splits(x))
 
     def tau(self, x):
-        if isinstance(x, SegmentRep):
-            return tube.tau_rep(x)
         return tube.tau(x)
 
     def tau_order(self) -> int:
         return self.n
 
     def parse(self, s: str):
-        t = parse_tube(s, self.n)
-        if t.t <= 2 * self.n:
-            return SegmentRep(self.n, t.j, t.t)
-        return truncate_rep(t)
+        return truncate_rep(parse_tube(s, self.n))
 
 
 class IntervalAmbient(Ambient):
@@ -279,14 +269,7 @@ class IntervalAmbient(Ambient):
         if n < 1:
             raise AmbientError("quiver size must be >= 1")
         self.n = n
-        self.name = f"an:{n}"
-        self._carrier = tuple(sorted(all_intervals(n), key=str))
-
-    def spec_string(self) -> str:
-        return self.name
-
-    def carrier(self) -> tuple:
-        return self._carrier
+        super().__init__(f"an:{n}", all_intervals(n))
 
     def hom_nonzero(self, x, y) -> bool:
         return hom_nonzero_interval(x, y)

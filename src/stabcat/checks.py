@@ -42,12 +42,18 @@ class CheckResult:
         return f"{self.name}: {self.total} cases, {status}"
 
 
-def _pool_map(fn, tasks, jobs: int) -> list:
-    """fn over tasks in a process pool of min(jobs, os.cpu_count()) workers."""
+def _chunked_records(fn, head: tuple, items: list, jobs: int) -> list:
+    """fn(head + (items,)), a list of records; with jobs > 1 the items go in
+    chunks to a process pool of min(jobs, os.cpu_count()) workers and the
+    records come back flattened in item order."""
+    if jobs <= 1:
+        return fn(head + (items,))
     import multiprocessing as mp
 
+    chunk = max(1, len(items) // (4 * jobs))
+    tasks = [head + (items[i:i + chunk],) for i in range(0, len(items), chunk)]
     with mp.Pool(min(jobs, os.cpu_count() or 1)) as pool:
-        return pool.map(fn, tasks)
+        return [rec for batch in pool.map(fn, tasks) for rec in batch]
 
 
 def _tube_objects(n: int, max_len: int):
@@ -72,14 +78,7 @@ def check_tube_hom(n_max: int = 4, p: int = 2, jobs: int = 1) -> CheckResult:
     for n in range(1, n_max + 1):
         objs = _tube_objects(n, 2 * n)
         pairs.extend((x, y) for x in objs for y in objs)
-    if jobs > 1:
-        chunk = max(1, len(pairs) // (4 * jobs))
-        tasks = [(p, pairs[i:i + chunk]) for i in range(0, len(pairs), chunk)]
-        batches = _pool_map(_hom_chunk, tasks, jobs)
-        records = [rec for batch in batches for rec in batch]
-    else:
-        records = _hom_chunk((p, pairs))
-    for ok, witness in records:
+    for ok, witness in _chunked_records(_hom_chunk, (p,), pairs, jobs):
         res.record(ok, witness)
     return res
 
@@ -139,9 +138,8 @@ def _closure_chunk(task):
     n, length_bound, p, gen_sets = task
     out = []
     for gens in gen_sets:
-        actual = [TubeIndec(n, g.j, g.rt) for g in gens]
-        ours = _bounded_tube_closure(n, actual, length_bound)
-        via_oracle = oracle.closure_fixpoint_bruteforce(("cyclic", n), actual, length_bound, p)
+        ours = _bounded_tube_closure(n, gens, length_bound)
+        via_oracle = oracle.closure_fixpoint_bruteforce(("cyclic", n), gens, length_bound, p)
         out.append((ours == via_oracle,
                     ([str(g) for g in gens],
                      sorted(str(x) for x in ours), sorted(str(x) for x in via_oracle)),
@@ -159,15 +157,8 @@ def check_tube_closure(n: int, length_bound: int = 6, p: int = 2,
     gen_sets = [()]
     for k in range(1, max_gens + 1):
         gen_sets += list(itertools.combinations(reps, k))
-    gen_sets = [g for g in gen_sets if all(x.rt <= length_bound for x in g)]
-    if jobs > 1:
-        chunk = max(1, len(gen_sets) // (4 * jobs))
-        tasks = [(n, length_bound, p, gen_sets[i:i + chunk])
-                 for i in range(0, len(gen_sets), chunk)]
-        batches = _pool_map(_closure_chunk, tasks, jobs)
-        records = [rec for batch in batches for rec in batch]
-    else:
-        records = _closure_chunk((n, length_bound, p, gen_sets))
+    gen_sets = [g for g in gen_sets if all(x.t <= length_bound for x in g)]
+    records = _chunked_records(_closure_chunk, (n, length_bound, p), gen_sets, jobs)
     for (ok, witness, bounded_reps), gens in zip(records, gen_sets):
         res.record(ok, witness)
         if ok:

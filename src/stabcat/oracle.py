@@ -389,11 +389,6 @@ def decompose(r: QuiverRep):
 
 # -- brute-force extensions ----------------------------------------------
 
-@lru_cache(maxsize=None)
-def _desc_dims(shape, d, p):
-    return dict(build_indec(shape, d, p).dims)
-
-
 def _hom_profile(descs, table, multiset):
     """(into, out) with into[i] = [X_i, M] and out[i] = [M, X_i], where M is
     the direct sum of `multiset` and X_i = descs[i] (Hom dimensions)."""
@@ -409,7 +404,7 @@ def _candidates(shape, p, target, max_len):
     profile of `_hom_profile` over `_hom_table(shape, p, max_len)`."""
     descs, table = _hom_table(shape, p, max_len)
     verts = [v for v, _ in target]
-    dims_of = {d: tuple(_desc_dims(shape, d, p)[v] for v in verts) for d in descs}
+    dims_of = {d: tuple(build_indec(shape, d, p).dims[v] for v in verts) for d in descs}
     pool = [d for d in descs if all(x <= t for x, (_, t) in zip(dims_of[d], target))]
     out = []
     # depth-first in pool order; a child never takes an earlier pool entry,
@@ -672,18 +667,22 @@ def middle_terms_bruteforce(shape, a, b, p: int = 2, budget: int | None = None):
 
 
 def _multisets_up_to_length(shape, p, pool, max_total):
+    """Every nonempty multiset over `pool` of total length <= max_total."""
     pool = sorted(set(pool), key=str)
-    lengths = {d: sum(_desc_dims(shape, d, p).values()) for d in pool}
+    lengths = [build_indec(shape, d, p).total_dim() for d in pool]
     out = []
-
-    def rec(start, total, acc):
+    # depth-first in pool order; a child never takes an earlier pool entry,
+    # so each multiset comes out once
+    stack = [(0, 0, ())]
+    while stack:
+        start, total, acc = stack.pop()
         if acc:
-            out.append(tuple(acc))
+            out.append(acc)
+        children = []
         for i in range(start, len(pool)):
-            if total + lengths[pool[i]] <= max_total:
-                rec(i, total + lengths[pool[i]], acc + [pool[i]])
-
-    rec(0, 0, [])
+            if total + lengths[i] <= max_total:
+                children.append((i, total + lengths[i], acc + (pool[i],)))
+        stack.extend(reversed(children))
     return out
 
 
@@ -697,7 +696,7 @@ def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2,
         added = False
         members = sorted(current, key=str)
         sums = _multisets_up_to_length(shape, p, members, length_bound - 1)
-        lengths = [sum(sum(_desc_dims(shape, d, p).values()) for d in ms) for ms in sums]
+        lengths = [sum(build_indec(shape, d, p).total_dim() for d in ms) for ms in sums]
         for a_ms, a_len in zip(sums, lengths):
             for b_ms, b_len in zip(sums, lengths):
                 if a_len + b_len > length_bound:

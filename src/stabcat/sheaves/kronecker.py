@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .. import tube
-from ..ambient import Ambient, AmbientError, WindowError, positive
+from ..ambient import Ambient, AmbientError, WindowError, positive, sample_points
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -77,22 +77,12 @@ class KroneckerAmbient(Ambient):
     def __init__(self, window: int = 6, n_points: int = 3):
         if window < 2:
             raise AmbientError("kronecker window must be >= 2")
-        if not 0 <= n_points <= len(KRON_POINTS):
-            raise AmbientError(f"the point count must lie in 0..{len(KRON_POINTS)}, "
-                               f"got {n_points}")
         self.window = window
-        self.points = KRON_POINTS[:n_points]
-        self.name = f"kronecker:window={window}:points={n_points}"
+        self.points = sample_points(KRON_POINTS, n_points)
         carrier = [KronP(k) for k in range(1, window + 1)]
         carrier += [KronI(k) for k in range(1, window + 1)]
         carrier += [KronR(x, d) for x in self.points for d in range(1, window + 1)]
-        self._carrier = tuple(sorted(carrier, key=str))
-
-    def spec_string(self) -> str:
-        return self.name
-
-    def carrier(self) -> tuple:
-        return self._carrier
+        super().__init__(f"kronecker:window={window}:points={n_points}", carrier)
 
     def hom_nonzero(self, a, b) -> bool:
         if isinstance(a, KronP):
@@ -150,9 +140,6 @@ class KroneckerAmbient(Ambient):
             out.extend(((KronR(d.x, r),), (KronR(d.x, q),))
                        for r, q in tube.homogeneous_chain_splits(d.d))
         return tuple(out)
-
-    def hn_scope(self) -> tuple:
-        return self._carrier
 
     def parse(self, s: str):
         s = s.strip()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .. import tube
 from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, point_tube_slots,
-                       positive, slotted_spreads)
+                       positive, sample_points, slotted_spreads)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -50,21 +50,11 @@ class P1Ambient(Ambient):
     def __init__(self, lo: int, hi: int, n_points: int = 3):
         if lo > hi:
             raise AmbientError("empty degree window")
-        if not 0 <= n_points <= len(DEFAULT_POINTS):
-            raise AmbientError(f"the point count must lie in 0..{len(DEFAULT_POINTS)}, "
-                               f"got {n_points}")
         self.lo, self.hi = lo, hi
-        self.points = DEFAULT_POINTS[:n_points]
-        self.name = f"p1:window={lo}..{hi}:points={n_points}"
+        self.points = sample_points(DEFAULT_POINTS, n_points)
         carrier = [P1Line(n) for n in range(lo, hi + 1)]
         carrier += [P1Tor(x, t) for x in self.points for t in (1, 2)]
-        self._carrier = tuple(sorted(carrier, key=str))
-
-    def spec_string(self) -> str:
-        return self.name
-
-    def carrier(self) -> tuple:
-        return self._carrier
+        super().__init__(f"p1:window={lo}..{hi}:points={n_points}", carrier)
 
     def embed(self, d):
         if isinstance(d, P1Tor) and d.t > 2:
@@ -72,8 +62,8 @@ class P1Ambient(Ambient):
         return d
 
     def _instances(self, d) -> list:
-        if isinstance(d, P1Tor) and d.t == 2:
-            return [P1Tor(d.x, 2 + k) for k in range(FAMILY_INSTANCES)]
+        if isinstance(d, P1Tor):
+            return [P1Tor(d.x, t) for t in tube.family(d.t, 1, FAMILY_INSTANCES)]
         return [d]
 
     def hom_nonzero(self, a, b) -> bool:

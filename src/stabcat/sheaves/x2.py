@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .. import tube
 from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, point_tube_slots,
-                       positive, slotted_spreads)
+                       positive, sample_points, slotted_spreads)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -96,22 +96,13 @@ class X2Ambient(Ambient):
     def __init__(self, lo: int, hi: int, n_points: int = 3):
         if lo > hi:
             raise AmbientError("empty window")
-        if not 0 <= n_points <= len(X2_POINTS):
-            raise AmbientError(f"the point count must lie in 0..{len(X2_POINTS)}, got {n_points}")
         self.lo, self.hi = lo, hi
         self.inner_lo = lo - 1  # margin column for boundary HN factors
-        self.points = X2_POINTS[:n_points]
-        self.name = f"x2:window={lo}..{hi}:points={n_points}"
+        self.points = sample_points(X2_POINTS, n_points)
         carrier = [X2Line(l, e) for l in range(self.inner_lo, hi + 1) for e in (0, 1)]
         carrier += [X2Exc(j, rt) for j in (0, 1) for rt in (1, 2, 3, 4)]
         carrier += [X2Ord(x, rt) for x in self.points for rt in (1, 2)]
-        self._carrier = tuple(sorted(carrier, key=str))
-
-    def spec_string(self) -> str:
-        return self.name
-
-    def carrier(self) -> tuple:
-        return self._carrier
+        super().__init__(f"x2:window={lo}..{hi}:points={n_points}", carrier)
 
     def reported_members(self) -> tuple:
         return tuple(d for d in self._carrier
@@ -131,10 +122,10 @@ class X2Ambient(Ambient):
         return d
 
     def _instances(self, d) -> list:
-        if isinstance(d, X2Exc) and d.t > 2:
-            return [X2Exc(d.j, d.t + 2 * k) for k in range(FAMILY_INSTANCES)]
-        if isinstance(d, X2Ord) and d.t == 2:
-            return [X2Ord(d.x, 2 + k) for k in range(FAMILY_INSTANCES)]
+        if isinstance(d, X2Exc):
+            return [X2Exc(d.j, t) for t in tube.family(d.t, 2, FAMILY_INSTANCES)]
+        if isinstance(d, X2Ord):
+            return [X2Ord(d.x, t) for t in tube.family(d.t, 1, FAMILY_INSTANCES)]
         return [d]
 
     def hom_nonzero(self, a, b) -> bool:

@@ -204,7 +204,7 @@ def classify_tube_torsion_pairs(n: int, upto_tau: bool = False, include_trivial:
     torsionfree classes of <S_0, ..., S_{n-2}>."""
     from .ambient import IntervalAmbient, TubeAmbient
     from .intervals import embed_in_tube
-    from .tube import tau_rep, truncate_rep
+    from .tube import tau
 
     tube_amb = TubeAmbient(n)
     pairs = {}
@@ -219,11 +219,11 @@ def classify_tube_torsion_pairs(n: int, upto_tau: bool = False, include_trivial:
         small_pairs = enumerate_torsion_pairs(small, include_trivial=True)
         for sp in small_pairs:
             # ray type: image sits in <S_1, ..., S_{n-1}> after the embedding
-            t_img = frozenset(truncate_rep(embed_in_tube(m)) for m in sp.t)
+            t_img = frozenset(map(embed_in_tube, sp.t))
             t_closed = closure(tube_amb, t_img)
             ray = TorsionPair(t_closed, right_perp(tube_amb, t_closed))
             # coray type: shift the torsionfree class into <S_0, ..., S_{n-2}>
-            f_img = frozenset(tau_rep(truncate_rep(embed_in_tube(m))) for m in sp.f)
+            f_img = frozenset(tau(embed_in_tube(m)) for m in sp.f)
             f_closed = closure(tube_amb, f_img)
             coray = TorsionPair(left_perp(tube_amb, f_closed), f_closed)
             for base in (ray, coray):

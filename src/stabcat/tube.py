@@ -2,9 +2,11 @@
 
 Indecomposables are cyclic segments S_j^(t): top simple index j in Z/nZ and
 length t, with composition factor sequence (S_{j-t+1}, ..., S_j) read bottom
-up.  Hom-nonvanishing, the fundamental non-split extensions and the
-length-truncation representative map are all expressed on these segments;
-the matrix oracle pins their correctness on small instances.
+up.  Hom-nonvanishing and the fundamental non-split extensions are expressed on
+these segments; the matrix oracle pins their correctness on small instances.
+A carrier member of length above n stands for its periodic family
+{S_j^(t + kn) : k >= 0}: `rho` picks the representative length in 1..2n and
+`family` lists lengths of the family a member stands for.
 """
 
 from __future__ import annotations
@@ -136,36 +138,16 @@ def rho(t: int, n: int) -> int:
     return n + ((t - 1) % n) + 1
 
 
-@dataclass(frozen=True, order=True)
-class SegmentRep:
-    """Canonical representative (j, rho(t)); lengths above n encode the
-    periodic family {S_j^(rn+l) : r >= 1}."""
-
-    n: int
-    j: int
-    rt: int
-
-    def __post_init__(self):
-        if not (1 <= self.rt <= 2 * self.n) or not (0 <= self.j < self.n):
-            raise TubeError(f"bad segment representative (n={self.n}, j={self.j}, rt={self.rt})")
-
-    def __str__(self) -> str:
-        return f"S{self.j}^({self.rt})@{self.n}"
-
-    def is_family(self) -> bool:
-        return self.rt > self.n
-
-    def instances(self, count: int = 1) -> list:
-        """Actual segments represented: one for exact lengths, `count` many
-        (stepping by n) for a family representative."""
-        if not self.is_family():
-            return [TubeIndec(self.n, self.j, self.rt)]
-        return [TubeIndec(self.n, self.j, self.rt + k * self.n) for k in range(count)]
+def family(t: int, n: int, count: int) -> list:
+    """The lengths a member of length t (at most 2n) stands for: t alone
+    when t <= n, else `count` lengths of its periodic family, stepping by n."""
+    if t <= n:
+        return [t]
+    return [t + k * n for k in range(count)]
 
 
-def truncate_rep(x: TubeIndec) -> SegmentRep:
-    return SegmentRep(x.n, x.j, rho(x.t, x.n))
-
-
-def tau_rep(x: SegmentRep, k: int = 1) -> SegmentRep:
-    return SegmentRep(x.n, (x.j - k) % x.n, x.rt)
+def truncate_rep(x: TubeIndec) -> TubeIndec:
+    """The representative S_j^(rho(t)) of x's periodic family; x itself
+    when its length is at most 2n."""
+    rt = rho(x.t, x.n)
+    return x if rt == x.t else TubeIndec(x.n, x.j, rt)

@@ -108,7 +108,7 @@ def test_criterion_08_hn_uniqueness():
     for amb in (TubeAmbient(2), TubeAmbient(3), IntervalAmbient(2), IntervalAmbient(3)):
         for sd in enumerate_valid(amb):
             for x in amb.carrier():
-                chains = hn_chains(amb, sd, x.instances(1)[0] if hasattr(x, "instances") else x)
+                chains = hn_chains(amb, sd, x)
                 assert len(chains) == 1, (amb.spec_string(), str(sd), str(x), len(chains))
                 counted += 1
     report(8, f"HN uniqueness: exactly one decreasing chain decomposition for "

@@ -1,6 +1,6 @@
 import pytest
 
-from stabcat.ambient import AmbientError
+from stabcat.ambient import AmbientError, TubeAmbient
 from stabcat.ambients import parse_ambient
 from stabcat.oracle import middle_terms_bruteforce
 from stabcat.sheaves import KronR, P1Tor, X2Ord
@@ -28,6 +28,13 @@ def test_parse_round_trip_on_carrier(spec):
         assert amb.parse(str(x)) == x
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tube_parse_embeds_hn_scope(n):
+    amb = TubeAmbient(n)
+    for x in amb.hn_scope():
+        assert amb.parse(str(x)) == amb.embed(x), str(x)
+
+
 def test_spec_string_round_trip():
     for spec in ALL_SPECS:
         amb = parse_ambient(spec)
@@ -46,10 +53,7 @@ def _degree(amb, d):
     from stabcat.sheaves.kronecker import dim_vector
     from stabcat.sheaves.p1 import P1Line, P1Tor
     from stabcat.sheaves.x2 import X2Exc, X2Line, X2Ord
-    from stabcat.tube import SegmentRep
 
-    if isinstance(d, SegmentRep):
-        return d.rt
     if isinstance(d, P1Line):
         return d.n
     if isinstance(d, P1Tor):

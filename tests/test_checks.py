@@ -37,3 +37,10 @@ def test_decompose_roundtrip_suite_gf3():
     result = checks.check_decompose_roundtrip(samples=200, p=3)
     assert result.ok, result.summary()
     assert result.total == 800
+
+
+def test_tube_closure_suite_independent_of_jobs():
+    one = checks.check_tube_closure(1, jobs=1)
+    two = checks.check_tube_closure(1, jobs=2)
+    assert one.total == two.total > 0
+    assert one.mismatches == two.mismatches == []

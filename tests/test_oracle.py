@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from stabcat import gf, oracle
@@ -310,3 +312,18 @@ def test_package_does_not_import_numpy():
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_multisets_up_to_length_leaves_no_cycle():
+    """With the cyclic collector off, dropping the result of one walk leaves
+    nothing for a full collection: the walk builds no reference cycle."""
+    pool = [TubeIndec(2, j, t) for j in range(2) for t in range(1, 4)]
+    gc.collect()
+    gc.disable()
+    try:
+        out = oracle._multisets_up_to_length(("cyclic", 2), 2, pool, 5)
+        assert len(out) == 65
+        del out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -16,7 +16,7 @@ from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
                                hn_filtration, is_coarser, is_finest, refine_to_finest,
                                split_phase, tau_orbit_size, tau_translate, validate)
 from stabcat.subcat import canon_members, closure, left_perp, right_perp
-from stabcat.tube import SegmentRep, TubeIndec
+from stabcat.tube import TubeIndec
 
 
 def sd_over(amb, *piece_names):
@@ -333,7 +333,7 @@ def test_tube_census():
             semistables = frozenset().union(*sd.piece_sequence())
             by_len = {}
             for m in semistables:
-                by_len.setdefault(m.rt, set()).add(m)
+                by_len.setdefault(m.t, set()).add(m)
             assert len(by_len.get(1, ())) == n
             assert len(by_len.get(n, ())) == 1
             for t in range(2, n):
@@ -343,7 +343,7 @@ def test_tube_census():
             # cyclically increasing simple phases force the full census
             piece_of = sd.piece_of_map()
             idx = {ph: i for i, ph in enumerate(sd.phases())}
-            simple_phase = [idx[piece_of[SegmentRep(n, j, 1)]] for j in range(n)]
+            simple_phase = [idx[piece_of[TubeIndec(n, j, 1)]] for j in range(n)]
             if any(all(simple_phase[(k + i) % n] < simple_phase[(k + i + 1) % n]
                        for i in range(n - 1)) for k in range(n)):
                 for t in range(1, n):

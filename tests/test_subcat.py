@@ -11,7 +11,7 @@ from stabcat.stability import enumerate_finest
 from stabcat.subcat import (EnumerationBoundError, SubcatError, closure, enumerate_ext_closed,
                             enumerate_ext_closed_by_filter, is_closed, left_perp, right_perp)
 from stabcat.torsion import enumerate_torsion_pairs
-from stabcat.tube import SegmentRep
+from stabcat.tube import TubeIndec
 
 
 def members_str(s):
@@ -20,9 +20,9 @@ def members_str(s):
 
 def test_closure_examples():
     t3 = TubeAmbient(3)
-    got = closure(t3, {SegmentRep(3, 0, 1), SegmentRep(3, 1, 1)})
+    got = closure(t3, {TubeIndec(3, 0, 1), TubeIndec(3, 1, 1)})
     assert members_str(got) == ["S0^(1)@3", "S1^(1)@3", "S1^(2)@3"]
-    got = closure(t3, {SegmentRep(3, 1, 3)})
+    got = closure(t3, {TubeIndec(3, 1, 3)})
     assert members_str(got) == ["S1^(3)@3", "S1^(6)@3"]
     assert closure(t3, frozenset()) == frozenset()
 
@@ -31,13 +31,13 @@ def test_closure_short_pieces_are_singletons():
     t3 = TubeAmbient(3)
     for j in range(3):
         for s in (1, 2):
-            assert closure(t3, {SegmentRep(3, j, s)}) == frozenset({SegmentRep(3, j, s)})
+            assert closure(t3, {TubeIndec(3, j, s)}) == frozenset({TubeIndec(3, j, s)})
 
 
 def test_closure_rejects_foreign_generator():
     t3 = TubeAmbient(3)
     with pytest.raises(SubcatError):
-        closure(t3, {SegmentRep(2, 0, 1)})
+        closure(t3, {TubeIndec(2, 0, 1)})
 
 
 @settings(max_examples=120, deadline=None)
@@ -56,12 +56,12 @@ def test_closure_idempotent_and_monotone(idx_g, idx_h):
 
 def test_right_perp_examples():
     t3 = TubeAmbient(3)
-    s = closure(t3, {SegmentRep(3, 2, 1)})
+    s = closure(t3, {TubeIndec(3, 2, 1)})
     perp = right_perp(t3, s)
     for name in ("S0^(1)@3", "S1^(1)@3", "S2^(2)@3"):
         assert t3.parse(name) in perp
     # the perp equals the torsion-free class of the first ray pair
-    assert perp == right_perp(t3, {SegmentRep(3, 2, 1)})
+    assert perp == right_perp(t3, {TubeIndec(3, 2, 1)})
     assert is_closed(t3, perp)
     full = frozenset(t3.carrier())
     assert right_perp(t3, frozenset()) == full

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from stabcat import tube
 from stabcat.ambient import TubeAmbient
-from stabcat.tube import (SegmentRep, TubeError, TubeIndec, chain_splits, comp_factor_set,
+from stabcat.tube import (TubeError, TubeIndec, chain_splits, comp_factor_set, family,
                           hom_nonzero, middle_terms, parse_tube, rho, soc, subobject_chain,
                           tau, top, truncate_rep)
 
@@ -127,9 +127,19 @@ def test_shared_representative_iff_periodic():
 
 
 def test_truncate_examples():
-    assert truncate_rep(T(3, 1, 9)) == SegmentRep(3, 1, 6)
-    assert truncate_rep(T(3, 1, 3)) == SegmentRep(3, 1, 3)
-    assert truncate_rep(T(3, 1, 5)) == SegmentRep(3, 1, 5)
+    assert truncate_rep(T(3, 1, 9)) == T(3, 1, 6)
+    assert truncate_rep(T(3, 1, 3)) == T(3, 1, 3)
+    assert truncate_rep(T(3, 1, 5)) == T(3, 1, 5)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_carrier_members_are_their_own_representatives(n):
+    for m in TubeAmbient(n).carrier():
+        assert truncate_rep(m) == m
+        lengths = family(m.t, n, 4)
+        assert (lengths == [m.t]) == (m.t <= n), str(m)
+        assert all(truncate_rep(T(n, m.j, t)) == m for t in lengths), str(m)
+        assert all(b - a == n for a, b in zip(lengths, lengths[1:])), str(m)
 
 
 def test_parse_and_format():
@@ -144,21 +154,17 @@ def test_parse_and_format():
 
 def test_ambient_middle_terms_stabilize():
     # enlarging the family instantiation count changes nothing
+    def swept(a, b, count):
+        n = a.n
+        return {tuple(sorted((truncate_rep(c) for c in ms), key=str))
+                for ta in family(a.t, n, count) for tb in family(b.t, n, count)
+                for ms in tube.middle_terms(T(n, a.j, ta), T(n, b.j, tb))}
+
     for n in (2, 3):
         amb = TubeAmbient(n)
         for a in amb.carrier():
             for b in amb.carrier():
-                base = set()
-                more = set()
-                for ai in a.instances(3):
-                    for bi in b.instances(3):
-                        for ms in tube.middle_terms(ai, bi):
-                            base.add(tuple(sorted((truncate_rep(c) for c in ms), key=str)))
-                for ai in a.instances(4):
-                    for bi in b.instances(4):
-                        for ms in tube.middle_terms(ai, bi):
-                            more.add(tuple(sorted((truncate_rep(c) for c in ms), key=str)))
-                assert base == more, (str(a), str(b))
+                assert swept(a, b, 3) == swept(a, b, 4), (str(a), str(b))
 
 
 @pytest.mark.parametrize("a", range(1, 11))
