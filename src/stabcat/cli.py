@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .ambient import AmbientError, WindowError
+from .ambient import AmbientError, TubeAmbient, WindowError
 from .ambients import parse_ambient
 from .checks import SUITES, run_suite
 from .intervals import IntervalError
@@ -24,8 +24,9 @@ from .stability import (FormatError, StabilityData, enumerate_finest, equivalent
                         hn_filtration, is_coarser, refine_to_finest, tau_orbit_size, validate)
 from .subcat import EnumerationBoundError, SubcatError
 from .tables import TABLE_AMBIENTS, verify_table
-from .torsion import (TorsionPair, classify_tube_torsion_pairs, enumerate_torsion_pairs,
-                      pairs_to_markdown, torsion_pairs_from_finest, validate_torsion_pair)
+from .torsion import (TorsionPair, classify_tube_torsion_pairs, dedupe_upto_tau,
+                      enumerate_torsion_pairs, pairs_to_markdown, tau_pair_orbit_size,
+                      torsion_pairs_from_finest, validate_torsion_pair)
 from .tube import TubeError
 
 EXIT_OK = 0
@@ -57,7 +58,7 @@ def _ambient(spec):
 
 
 def _windowed_note(ambient) -> str:
-    return ("WINDOW-VERIFIED (all objects of the configured window)"
+    return (" [WINDOW-VERIFIED (all objects of the configured window)]"
             if ambient.spec_string().split(":")[0] in ("p1", "x2", "kronecker") else "")
 
 
@@ -70,8 +71,7 @@ def cmd_validate(args):
     else:
         sd = StabilityData.from_json(doc, amb)
         report = validate(amb, sd)
-    note = _windowed_note(amb)
-    print(report.summary() + (f" [{note}]" if note else ""))
+    print(report.summary() + _windowed_note(amb))
     return EXIT_OK if report.valid else EXIT_MISMATCH
 
 
@@ -91,9 +91,8 @@ def cmd_finest(args):
     amb = _ambient(args.ambient)
     data = enumerate_finest(amb, upto_tau=args.upto_tau)
     label = "up to tau-translation" if args.upto_tau else "up to equivalence"
-    note = _windowed_note(amb)
     print(f"{len(data)} finest stability data on {amb.spec_string()} ({label})"
-          + (f" [{note}]" if note else ""))
+          + _windowed_note(amb))
     out = []
     for sd in data:
         doc = sd.relabeled().to_json()
@@ -109,32 +108,24 @@ def cmd_torsion(args):
     if args.method == "brute":
         pairs = enumerate_torsion_pairs(amb, upto_tau=args.upto_tau)
     elif args.method == "ray-coray":
-        from .ambient import TubeAmbient
-
         if not isinstance(amb, TubeAmbient):
             raise CliError("the ray/coray classifier only applies to tube ambients", EXIT_PARSE)
         pairs = classify_tube_torsion_pairs(amb.n, upto_tau=args.upto_tau)
     else:
         pairs = torsion_pairs_from_finest(amb)
         if args.upto_tau:
-            from .torsion import dedupe_upto_tau
-
             pairs = dedupe_upto_tau(amb, pairs)
     if args.json:
         docs = []
         for p in pairs:
             doc = p.to_json()
             if args.upto_tau and amb.tau_order() > 1:
-                from .torsion import tau_pair_orbit_size
-
                 doc["tau_orbit_size"] = tau_pair_orbit_size(amb, p)
             docs.append(doc)
         print(json.dumps(docs, indent=1, sort_keys=True))
     else:
-        title = f"Non-trivial torsion pairs on {amb.spec_string()} ({args.method})"
-        note = _windowed_note(amb)
-        if note:
-            title += f" [{note}]"
+        title = (f"Non-trivial torsion pairs on {amb.spec_string()} ({args.method})"
+                 + _windowed_note(amb))
         print(pairs_to_markdown(pairs, title))
     return EXIT_OK
 

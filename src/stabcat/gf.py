@@ -52,10 +52,6 @@ def matmul(a: list, b: list, cols: int, p: int) -> list:
     return transpose(matvecs(a, transpose(b, cols), p), len(a))
 
 
-def inv_scalar(x: int, p: int) -> int:
-    return pow(int(x), p - 2, p)
-
-
 def rref(a: list, p: int):
     """Row-reduce a copy of `a`; returns (reduced matrix, pivot column list)."""
     m = [list(row) for row in a]

@@ -13,12 +13,13 @@ The search generates only phase-admissible quotients: for each sub of x it
 finds the sub's chains first and asks the ambient (`phase_quotients`) only
 for quotients lying in one phase below the highest phase those chains end
 in.  The P^1 and X(2) models build those torsion spreads of a line bundle
-directly, so `validate` finishes on p1 -20..20 with 6 points and on x2
--12..12 with 3 points in well under a second each.
+directly.
 
 Valid data are the chains 0 = T_0 < ... < T_k = carrier of torsion classes,
-with pieces T_{i+1} & T_i^perp: `enumerate_valid` walks every chain of
-`torsion_lattice` and `enumerate_finest` its maximal chains, through one walk.
+with pieces T_{i+1} & T_i^perp, and the finest data are the maximal chains.
+`enumerate_valid` and `enumerate_finest` read them off `torsion_lattice`,
+which certifies each class and each cover once; no enumerated datum goes
+through `validate` or `is_finest`, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -29,16 +30,14 @@ from types import MappingProxyType
 
 from .phases import ExplicitOrder, Phase
 from .subcat import EnumerationBoundError, canon_members, closure, ctx_for, is_closed
+from .torsion import TorsionPair, torsion_lattice
 
 _HN_COMBO_CAP = 512
+FINEST_LIMIT = 20000  # finest data `enumerate_finest` builds at most
 
 
 class StabilityError(ValueError):
     pass
-
-
-class FinestBoundError(StabilityError, EnumerationBoundError):
-    """`enumerate_finest` on a carrier larger than its bound."""
 
 
 class HNFailureError(StabilityError):
@@ -342,14 +341,6 @@ def validate(ambient, sd: StabilityData) -> ValidationReport:
     return report
 
 
-def _validate_unkept(ambient, sd: StabilityData) -> ValidationReport:
-    """`validate`, then release the datum's HN memo: enumerations return
-    hundreds of data and would otherwise keep every memo alive."""
-    report = validate(ambient, sd)
-    sd._search = None
-    return report
-
-
 # -- finest-ness and refinement ---------------------------------------------
 
 def is_finest(ambient, sd: StabilityData):
@@ -436,8 +427,6 @@ def equivalent(sd1: StabilityData, sd2: StabilityData) -> bool:
 
 def cut_torsion_pair(ambient, sd: StabilityData, lower_phases):
     """Torsion pair from a down-closed cut: T from above, F from below."""
-    from .torsion import TorsionPair
-
     sd = sd.canonicalized()
     lower = set(lower_phases)
     phases = sd.phases()
@@ -504,21 +493,14 @@ def tau_orbit_size(ambient, sd: StabilityData) -> int:
 
 # -- enumeration --------------------------------------------------------------
 
-def _connected(ambient, members) -> bool:
-    ms = canon_members(members)
-    for x in ms:
-        for y in ms:
-            if x != y and not ambient.hom_nonzero(x, y):
-                return False
-    return True
-
-
 def candidate_pieces(ambient) -> list:
     """Nonempty Hom-connected extension-closed subcats: the only sets that
     can serve as pieces of a finest datum (mutual Hom-nonvanishing)."""
     from .subcat import enumerate_ext_closed
 
-    return [s for s in enumerate_ext_closed(ambient) if s and _connected(ambient, s)]
+    ctx = ctx_for(ambient)
+    return [s for s in enumerate_ext_closed(ambient)
+            if s and ctx.is_connected_mask(ctx.to_mask(s))]
 
 
 def _valid_data_over_pieces(ambient, pieces_pool):
@@ -564,8 +546,9 @@ def _valid_data_over_pieces(ambient, pieces_pool):
                     phases = [Phase.integer(i + 1) for i in range(len(order))]
                     sd = StabilityData(ExplicitOrder(phases),
                                        {phases[k]: pool[i] for k, i in enumerate(order)})
-                    report = _validate_unkept(ambient, sd)
-                    if report.valid:
+                    valid = validate(ambient, sd).valid
+                    sd._search = None  # results would otherwise keep every HN memo alive
+                    if valid:
                         results.append(sd)
         for i in range(start, npool):
             if masks[i] & used_mask:
@@ -576,41 +559,35 @@ def _valid_data_over_pieces(ambient, pieces_pool):
     return results
 
 
-def _chain_data(ambient, successors: dict, finest: bool) -> list:
+def _chain_data(ambient, successors: dict) -> list:
     """The datum of every chain from the bottom class (the first key) to the
     carrier along `successors`: the step T < U gives the piece U & T^perp,
-    and the last step phase 1.  A datum failing `validate` (or `is_finest`,
-    when `finest`) raises StabilityError naming it."""
+    and the last step phase 1.  `torsion_lattice` certifies every such
+    datum, so none is checked here.  Data share one piece set per step."""
     ctx = ctx_for(ambient)
-    kind = "finest valid" if finest else "valid"
+    steps = {t: [(u, ctx.to_set(u & ctx.right_perp_mask(t))) for u in reversed(us)]
+             for t, us in successors.items()}
     data = []
     stack = [(next(iter(successors)), [])]  # depth first, without a self-referencing closure
     while stack:
         t, pieces = stack.pop()
         if t == ctx.full_mask:
             phases = [Phase.integer(i + 1) for i in range(len(pieces))]
-            sd = StabilityData(ExplicitOrder(phases), dict(zip(phases, reversed(pieces))))
-            report = _validate_unkept(ambient, sd)
-            if not (all(pieces) and report.valid and (not finest or is_finest(ambient, sd)[0])):
-                raise StabilityError(f"chain gives {sd}, which is not a {kind} datum: "
-                                     f"{report.summary()}")
-            data.append(sd)
+            data.append(StabilityData(ExplicitOrder(phases), dict(zip(phases, reversed(pieces)))))
             continue
-        for u in reversed(successors[t]):
-            stack.append((u, pieces + [ctx.to_set(u & ctx.right_perp_mask(t))]))
+        for u, piece in steps[t]:
+            stack.append((u, pieces + [piece]))
     return data
 
 
 def enumerate_valid(ambient) -> list:
     """Every valid stability datum up to equivalence (small carriers only),
     sorted by piece sequence: one per chain of `torsion_lattice`, stepping
-    from each class to every strictly larger one (Gorodentsev-Kuleshov-
-    Rudakov, "t-stabilities and t-structures on triangulated categories")."""
-    from .torsion import torsion_lattice
-
+    from each class to every strictly larger one.  The lattice certificate
+    makes each such datum valid; none is validated here."""
     covers = torsion_lattice(ambient)
     larger = {t: tuple(u for u in covers if u != t and t & ~u == 0) for t in covers}
-    out = _chain_data(ambient, larger, finest=False)
+    out = _chain_data(ambient, larger)
     out.sort(key=_sequence_key)
     return out
 
@@ -631,14 +608,27 @@ def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
     closed pieces and keep the finest ones (small carriers only)."""
     n = len(ambient.carrier())
     if n > bound:
-        raise FinestBoundError(f"carrier size {n} exceeds reference-enumeration bound {bound}")
+        raise EnumerationBoundError(f"carrier size {n} exceeds reference-enumeration bound {bound}")
     finest = [sd for sd in _valid_data_over_pieces(ambient, candidate_pieces(ambient))
               if is_finest(ambient, sd)[0]]
     finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
     return finest
 
 
-def enumerate_finest(ambient, upto_tau: bool = False, bound: int = 64) -> list:
+def _count_maximal_chains(covers: dict) -> int:
+    """Maximal chains of the lattice, by a DP over the covers from the top."""
+    count = {}
+    for t in sorted(covers, key=lambda t: -t.bit_count()):
+        count[t] = sum(count[u] for u in covers[t]) if covers[t] else 1
+    return count[next(iter(covers))]
+
+
+def count_finest(ambient) -> int:
+    """Count the finest data (maximal chains of `torsion_lattice`) without building any."""
+    return _count_maximal_chains(torsion_lattice(ambient))
+
+
+def enumerate_finest(ambient, upto_tau: bool = False) -> list:
     """All finest valid data up to equivalence (optionally up to τ).
 
     Finest data are the maximal chains 0 = T_0 < T_1 < ... < T_k = carrier of
@@ -646,16 +636,16 @@ def enumerate_finest(ambient, upto_tau: bool = False, bound: int = 64) -> list:
     piece T_{i+1} & T_i^perp, a Hom-connected brick filtration (the brick
     labelling of Demonet-Iyama-Reading-Reiten-Thomas, "Lattice theory of
     torsion classes"; such chains are counted in Brüstle-Dupont-Pérotin,
-    "On maximal green sequences").  The last cover gives phase 1.  Every
-    datum is checked with `validate` and `is_finest`; one that fails raises
-    StabilityError naming it.
+    "On maximal green sequences").  The last cover gives phase 1.  No datum
+    is validated: `torsion_lattice` certifies each class and cover once.
+    Over FINEST_LIMIT maximal chains raise EnumerationBoundError at once.
     """
-    from .torsion import torsion_lattice
-
-    n = len(ambient.carrier())
-    if n > bound:
-        raise FinestBoundError(f"carrier size {n} exceeds enumeration bound {bound}")
-    finest = _chain_data(ambient, torsion_lattice(ambient, bound), finest=True)
+    covers = torsion_lattice(ambient)
+    count = _count_maximal_chains(covers)
+    if count > FINEST_LIMIT:
+        raise EnumerationBoundError(f"{ambient.spec_string()} has {count} finest data, "
+                                    f"more than the enumeration limit {FINEST_LIMIT}")
+    finest = _chain_data(ambient, covers)
     finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
     if not upto_tau:
         return finest

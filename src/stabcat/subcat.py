@@ -18,6 +18,9 @@ class EnumerationBoundError(SubcatError):
     """The carrier is larger than an exhaustive enumeration accepts."""
 
 
+ENUMERATION_BOUND = 64  # carrier members an exhaustive enumeration accepts
+
+
 class CarrierContext:
     """Hom/extension tables for one ambient, as bitmasks."""
 
@@ -80,6 +83,10 @@ class CarrierContext:
                     return False
         return True
 
+    def is_connected_mask(self, mask: int) -> bool:
+        """Hom(x, y) != 0 for all members x and y, x = y included."""
+        return not any(mask & ~self.hom_to[i] for i in self.bits(mask))
+
     def right_perp_mask(self, mask: int) -> int:
         hit = 0
         for i in self.bits(mask):
@@ -126,7 +133,7 @@ def left_perp(ambient, members) -> frozenset:
     return ctx.to_set(ctx.left_perp_mask(ctx.to_mask(members)))
 
 
-def check_enumerable(ambient, bound: int) -> None:
+def check_enumerable(ambient, bound: int = ENUMERATION_BOUND) -> None:
     """Refuse exhaustive enumeration before any carrier table is built."""
     if not getattr(ambient, "supports_enumeration", True):
         raise SubcatError(f"{ambient.spec_string()} models only part of its extension "
@@ -136,7 +143,7 @@ def check_enumerable(ambient, bound: int) -> None:
         raise EnumerationBoundError(f"carrier size {n} exceeds enumeration bound {bound}")
 
 
-def enumerate_ext_closed(ambient, bound: int = 64) -> list:
+def enumerate_ext_closed(ambient, bound: int = ENUMERATION_BOUND) -> list:
     """All extension-closed member sets, canonically sorted.
 
     Walks the closure system from the empty set: every closed set is reached

@@ -100,7 +100,7 @@ def _canonical_sort(pairs) -> list:
     return sorted(pairs, key=lambda p: (len(p.t), p.key()))
 
 
-def torsion_lattice(ambient, bound: int = 64) -> dict:
+def torsion_lattice(ambient) -> dict:
     """The lattice of torsion classes as carrier bitmasks.
 
     Maps each torsion class to the tuple of its upper covers, bottom class
@@ -108,16 +108,24 @@ def torsion_lattice(ambient, bound: int = 64) -> dict:
     T(S) = perp(S^perp), and the upper covers of T are the minimal classes
     T(T + {x}) with x outside T.  Every cover T < T' is labelled by the
     piece T' & T^perp, the brick labelling of Demonet-Iyama-Reading-
-    Reiten-Thomas ("Lattice theory of torsion classes"), so maximal chains
-    are exactly the finest stability data.  Each class is checked to be
-    extension- and quotient-closed and to pass `validate_torsion_pair`; a
-    class that fails raises TorsionError naming it.
+    Reiten-Thomas ("Lattice theory of torsion classes").
+
+    Each class is checked once (T and T^perp extension-closed, T quotient-
+    closed, `validate_torsion_pair`), each cover once (label non-empty and
+    Hom-connected); a failure raises TorsionError naming it.  Every chain
+    0 = T_0 < ... < T_k = carrier is then a valid datum with the closed
+    pieces T_{i+1} & T_i^perp, HN filtrations from the T/F decompositions
+    (Gorodentsev-Kuleshov-Rudakov, "t-stabilities and t-structures on
+    triangulated categories"), and finest when the chain is maximal.
     """
-    check_enumerable(ambient, bound)
+    check_enumerable(ambient)
     ctx = ctx_for(ambient)
 
     def generated(mask):
         return ctx.left_perp_mask(ctx.right_perp_mask(mask))
+
+    def names(mask):
+        return list(map(str, canon_members(ctx.to_set(mask))))
 
     bottom = generated(0)
     covers, seen, frontier = {}, {bottom}, [bottom]
@@ -133,18 +141,24 @@ def torsion_lattice(ambient, bound: int = 64) -> dict:
                     nxt.append(u)
         frontier = nxt
     for t in covers:
-        members, f = ctx.to_set(t), ctx.to_set(ctx.right_perp_mask(t))
-        if not (ctx.is_closed_mask(t) and is_quotient_closed(ambient, members)
-                and validate_torsion_pair(ambient, members, f).valid):
-            raise TorsionError(f"lattice class {list(map(str, canon_members(members)))} "
-                               f"on {ambient.spec_string()} is not a torsion class")
+        perp, members = ctx.right_perp_mask(t), ctx.to_set(t)
+        if not (ctx.is_closed_mask(t) and ctx.is_closed_mask(perp)
+                and is_quotient_closed(ambient, members)
+                and validate_torsion_pair(ambient, members, ctx.to_set(perp)).valid):
+            raise TorsionError(f"lattice class {names(t)} on {ambient.spec_string()} "
+                               "is not a torsion class")
+        for u in covers[t]:
+            if not (u & perp and ctx.is_connected_mask(u & perp)):
+                raise TorsionError(f"lattice cover {names(t)} < {names(u)} on "
+                                   f"{ambient.spec_string()}: label {names(u & perp)} "
+                                   "is empty or not Hom-connected")
     return covers
 
 
-def enumerate_torsion_pairs(ambient, upto_tau: bool = False, include_trivial: bool = False,
-                            bound: int = 64) -> list:
+def enumerate_torsion_pairs(ambient, upto_tau: bool = False,
+                            include_trivial: bool = False) -> list:
     """Every torsion pair (T, T^perp), one per class of `torsion_lattice`."""
-    lattice = torsion_lattice(ambient, bound)
+    lattice = torsion_lattice(ambient)
     ctx = ctx_for(ambient)
     pairs = [TorsionPair(ctx.to_set(t), ctx.to_set(ctx.right_perp_mask(t))) for t in lattice]
     if not include_trivial:
@@ -154,12 +168,12 @@ def enumerate_torsion_pairs(ambient, upto_tau: bool = False, include_trivial: bo
     return _canonical_sort(pairs)
 
 
-def _enumerate_torsion_pairs_brute(ambient, bound: int = 64) -> list:
+def _enumerate_torsion_pairs_brute(ambient) -> list:
     """Reference enumeration, trivial pairs included: every extension-closed
     set that is quotient-closed, equal to its double perp and passes
     `validate_torsion_pair`."""
     pairs = []
-    for t in enumerate_ext_closed(ambient, bound=bound):
+    for t in enumerate_ext_closed(ambient):
         if not is_quotient_closed(ambient, t):
             continue
         f = right_perp(ambient, t)

@@ -1,23 +1,35 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-CLI = [sys.executable, "-m", "stabcat.cli"]
+from stabcat import cli
+
+
+def run_module(*args):
+    """`python -m stabcat.cli` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "stabcat.cli", *args],
+                          capture_output=True, text=True)
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+    """`cli.main` in-process, with `env_extra` set only while it runs: the
+    exit code and captured output, shaped like `run_module`'s result."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env_extra or {}), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    return subprocess.CompletedProcess(args, exc.value.code, out.getvalue(), err.getvalue())
 
 
 def test_verify_table_exit_zero():
-    out = run_cli("verify-table", "a2-torsion")
+    out = run_module("verify-table", "a2-torsion")
     assert out.returncode == 0
     assert "exact match" in out.stdout
 
@@ -62,7 +74,10 @@ def test_window_violation_exit_three(tmp_path):
     assert "window" in out.stderr.lower()
 
 
-def test_budget_violation_exit_four():
+def test_budget_violation_exit_four(monkeypatch):
+    from stabcat import oracle
+
+    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})  # no answer left by an earlier test
     out = run_cli("oracle-check", "tube-middle", env_extra={"STABCAT_BUDGET": "1"})
     assert out.returncode == 4
     assert "budget" in out.stderr.lower()
@@ -72,18 +87,38 @@ def test_budget_violation_exit_four():
 
 
 def test_enumeration_bound_exit_four():
-    out = run_cli("finest", "--ambient", "tube:7")
+    out = run_module("finest", "--ambient", "tube:7")
     assert out.returncode == 4
     assert out.stderr.strip() == ("enumeration bound exceeded: "
                                   "carrier size 98 exceeds enumeration bound 64")
 
 
+def test_finest_limit_exit_four():
+    out = run_cli("finest", "--ambient", "an:6")
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr == ("enumeration bound exceeded: an:6 has 340549 finest data, "
+                          "more than the enumeration limit 20000\n")
+
+
 def test_enumeration_disabled_exit_two():
-    out = run_cli("torsion", "--ambient", "kronecker:window=6:points=3")
+    out = run_module("torsion", "--ambient", "kronecker:window=6:points=3")
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert out.stderr.strip().splitlines() == [out.stderr.strip()]
     assert "enumeration is disabled" in out.stderr
+
+
+@pytest.mark.parametrize("window", [6, 20])
+@pytest.mark.parametrize("command", [["finest"], ["torsion", "--method", "brute"],
+                                     ["torsion", "--method", "cuts"]],
+                         ids=["finest", "torsion-brute", "torsion-cuts"])
+def test_kronecker_enumeration_disabled_exit_two(command, window):
+    """Every enumeration on a Kronecker window exits 2, whatever its size."""
+    spec = f"kronecker:window={window}:points=3"
+    out = run_cli(*command, "--ambient", spec)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == (f"error: {spec} models only part of its extension structure; "
+                          "exhaustive enumeration is disabled\n")
 
 
 def test_finest_deterministic_output():

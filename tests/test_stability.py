@@ -11,11 +11,12 @@ from stabcat.ambients import parse_ambient
 from stabcat.phases import ExplicitOrder, Phase
 from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
                                _enumerate_finest_reference, _enumerate_valid_reference,
-                               all_cuts, cut_torsion_pair,
+                               all_cuts, count_finest, cut_torsion_pair,
                                enumerate_finest, enumerate_valid, equivalent, hn_chains,
                                hn_filtration, is_coarser, is_finest, refine_to_finest,
                                split_phase, tau_orbit_size, tau_translate, validate)
-from stabcat.subcat import canon_members, closure, left_perp, right_perp
+from stabcat.subcat import EnumerationBoundError, canon_members, closure, left_perp, right_perp
+from stabcat.torsion import TorsionError
 from stabcat.tube import TubeIndec
 
 
@@ -277,12 +278,38 @@ def test_enumerate_valid_x2_reported_members_match_reference():
     assert keys == reported_keys(reference, _enumerate_valid_reference(reference))
 
 
-def test_enumerate_valid_raises_on_bad_chain(monkeypatch):
-    """A chain datum that fails validation is reported, never dropped."""
-    monkeypatch.setattr(stability, "validate",
-                        lambda amb, sd: stability.ValidationReport(valid=False))
-    with pytest.raises(StabilityError, match="not a valid datum"):
-        enumerate_valid(IntervalAmbient(2))
+def test_enumerations_raise_on_unclosed_perp(monkeypatch):
+    """A lattice class whose right perp is not extension-closed is reported
+    by both enumerations, never passed on as pieces."""
+    a2 = IntervalAmbient(2)
+    s1 = subcat.ctx_for(a2).to_mask([a2.parse("S1")])
+    perp = subcat.ctx_for(a2).right_perp_mask(s1)
+    real = subcat.CarrierContext.is_closed_mask
+    monkeypatch.setattr(subcat.CarrierContext, "is_closed_mask",
+                        lambda ctx, mask: mask != perp and real(ctx, mask))
+    for enumerate_data in (enumerate_valid, enumerate_finest):
+        with pytest.raises(TorsionError,
+                           match=r"lattice class \['M\[1,1\]@A2'\] on an:2 is not a torsion class"):
+            enumerate_data(IntervalAmbient(2))
+
+
+def test_enumerations_raise_on_disconnected_label(monkeypatch):
+    """A cover whose label is not Hom-connected is reported by both
+    enumerations: with S1's Hom row sent to {P1, S2}, the cover 0 < {S1, P1}
+    has the label {S1, P1} and Hom(S1, S1) = 0."""
+    real = subcat.CarrierContext.__init__
+
+    def patched(ctx, ambient):
+        real(ctx, ambient)
+        ctx.hom_to[ctx.index[ambient.parse("S1")]] = ctx.to_mask(
+            [ambient.parse("P1"), ambient.parse("S2")])
+
+    monkeypatch.setattr(subcat.CarrierContext, "__init__", patched)
+    for enumerate_data in (enumerate_valid, enumerate_finest):
+        with pytest.raises(TorsionError, match=r"lattice cover \[\] < \['M\[1,1\]@A2', "
+                                               r"'M\[1,2\]@A2'\] on an:2: label .* is empty or "
+                                               "not Hom-connected"):
+            enumerate_data(IntervalAmbient(2))
 
 
 def test_enumerations_skip_the_reference_path(monkeypatch):
@@ -295,6 +322,51 @@ def test_enumerations_skip_the_reference_path(monkeypatch):
     t3 = TubeAmbient(3)
     assert len(enumerate_valid(t3)) == 181
     assert len(enumerate_finest(t3)) == 12
+
+
+def test_enumerations_never_validate(monkeypatch):
+    """The lattice certificate stands in for validation: neither enumeration
+    runs `validate`, `is_finest` or an HN search."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-datum check reached")
+
+    for name in ("validate", "is_finest", "HNSearch"):
+        monkeypatch.setattr(stability, name, refuse)
+    t3 = TubeAmbient(3)
+    assert len(enumerate_valid(t3)) == 181
+    assert len(enumerate_finest(t3)) == 12
+
+
+def test_enumerated_data_pass_validation():
+    """Test oracle for the lattice certificate: every enumerated datum passes
+    the full `validate`, and every finest one `is_finest` as well."""
+    specs = ["an:2", "an:3", "an:4", "an:5", "tube:1", "tube:2", "tube:3", "tube:4"]
+    for spec in specs:
+        amb = parse_ambient(spec)
+        for sd in enumerate_finest(amb):
+            assert validate(amb, sd).valid and is_finest(amb, sd)[0], (spec, sd)
+    for spec in ["an:2", "an:3", "an:4", "tube:2", "tube:3"]:
+        amb = parse_ambient(spec)
+        for sd in enumerate_valid(amb):
+            assert validate(amb, sd).valid, (spec, sd)
+
+
+def test_count_finest():
+    """The DP over the covers counts exactly the enumerated finest data, and
+    the an:6 and tube:5 counts without enumerating them."""
+    for spec in ["an:2", "an:3", "an:4", "an:5", "tube:1", "tube:2", "tube:3", "tube:4"]:
+        assert count_finest(parse_ambient(spec)) == len(enumerate_finest(parse_ambient(spec)))
+    assert count_finest(IntervalAmbient(6)) == 340549
+    assert count_finest(TubeAmbient(5)) == 10120
+
+
+def test_enumerate_finest_limit():
+    """Above FINEST_LIMIT maximal chains, enumeration is refused before any
+    datum is built."""
+    assert 10120 <= stability.FINEST_LIMIT  # tube:5 still enumerates
+    with pytest.raises(EnumerationBoundError,
+                       match="an:6 has 340549 finest data, more than the enumeration limit"):
+        enumerate_finest(IntervalAmbient(6))
 
 
 def test_enumerate_finest_counts():
@@ -315,13 +387,6 @@ def test_enumerate_finest_matches_reference():
     for amb in ambients:
         chains = [seq_strs(sd) for sd in enumerate_finest(amb)]
         assert chains == [seq_strs(sd) for sd in _enumerate_finest_reference(amb)]
-
-
-def test_enumerate_finest_raises_on_bad_chain(monkeypatch):
-    """A chain datum that fails the finest check is reported, never dropped."""
-    monkeypatch.setattr(stability, "is_finest", lambda amb, sd: (False, None))
-    with pytest.raises(StabilityError, match="not a finest valid datum"):
-        enumerate_finest(IntervalAmbient(2))
 
 
 def test_tube_census():
@@ -406,5 +471,5 @@ def test_split_phase_on_tube_one_phase_datum():
 
 
 def test_enumerate_finest_bound_guard():
-    with pytest.raises(StabilityError, match="bound"):
+    with pytest.raises(EnumerationBoundError, match="carrier size 72 exceeds enumeration bound 64"):
         enumerate_finest(TubeAmbient(6))
