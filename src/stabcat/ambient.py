@@ -6,7 +6,10 @@ periodic family of actual objects (`_instances`), and `middle_terms` and
 `carrier_decompositions` sweep those instances through the model's rules on
 actual objects (`_middles_actual`, `decompositions`), embed the results in
 the carrier and keep the ones inside it (`_in_carrier`).  A model supplies
-those rules, not the sweep.
+those rules, not the sweep.  `middle_terms` is not memoised: the carrier
+context (`subcat.ctx_for`) reads each pair once and keeps it as bitmasks;
+`carrier_decompositions`, which the lattice re-reads, is memoised on the
+instance, so the memo dies with the ambient.
 
 The HN search asks `phase_quotients` only for the decompositions whose
 quotient one phase owns, below the phases the sub's chains end in.  The
@@ -22,8 +25,6 @@ live in stabcat.sheaves.
 """
 
 from __future__ import annotations
-
-from functools import wraps
 
 from . import tube
 from .intervals import (all_intervals, chain_splits_interval, hom_nonzero_interval,
@@ -62,31 +63,16 @@ def point_tube_slots(owners: dict) -> dict:
     return out
 
 
-def ambient_memo(method):
-    """Memoise a method on its positional arguments in a dict stored on the
-    instance, so the cache is freed with the ambient; `functools.lru_cache`
-    on a method would key a class-level cache by `self` and keep every
-    instance alive."""
-    slot = f"_memo_{method.__name__}"
-
-    @wraps(method)
-    def memoised(self, *args):
-        memo = self.__dict__.setdefault(slot, {})
-        try:
-            return memo[args]
-        except KeyError:
-            out = memo[args] = method(self, *args)
-            return out
-
-    return memoised
-
-
 class AmbientError(ValueError):
     pass
 
 
 class WindowError(AmbientError):
     """A requested construction does not fit the configured window."""
+
+
+class SizeLimitError(AmbientError):
+    """An ambient spec asks for more carrier members than any command accepts."""
 
 
 def sample_points(names: tuple, count: int) -> tuple:
@@ -138,7 +124,6 @@ class Ambient:
         """Whether an embedded object lies in the carrier."""
         return True
 
-    @ambient_memo
     def middle_terms(self, a, b) -> frozenset:
         """Middle-term multisets of a and b over all their instances, in
         carrier space; multisets leaving the carrier are dropped."""
@@ -194,16 +179,18 @@ class Ambient:
         """Extended-space object -> carrier member (identity by default)."""
         return x
 
-    @ambient_memo
     def carrier_decompositions(self, x) -> tuple:
         """(sub, quotient) pairs of the instances of x, in carrier space,
-        each once."""
-        embed = self.embed
-        seen = {}
-        for inst in self._instances(x):
-            for subs, quots in self.decompositions(inst):
-                seen[(tuple(map(embed, subs)), tuple(map(embed, quots)))] = None
-        return tuple(seen)
+        each once; memoised on the instance, forming no reference cycle."""
+        memo = self.__dict__.setdefault("_carrier_decompositions", {})
+        if x not in memo:
+            embed = self.embed
+            seen = {}
+            for inst in self._instances(x):
+                for subs, quots in self.decompositions(inst):
+                    seen[(tuple(map(embed, subs)), tuple(map(embed, quots)))] = None
+            memo[x] = tuple(seen)
+        return memo[x]
 
     def quotient_components(self, x) -> frozenset:
         return frozenset(q for _, quots in self.carrier_decompositions(x) for q in quots)

@@ -4,7 +4,7 @@ Commands: validate, hn, finest, torsion, refine, compare, verify-table,
 oracle-check.  Output is deterministic (canonical sorting everywhere); JSON
 files round-trip exactly.  Exit codes: 0 success/match, 1 mismatch or
 invalid input data, 2 parse error, 3 window violation, 4 oracle budget,
-enumeration bound or HN search cap exceeded.
+enumeration bound, ambient spec size limit or HN search cap exceeded.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .ambient import AmbientError, TubeAmbient, WindowError
+from .ambient import AmbientError, SizeLimitError, TubeAmbient, WindowError
 from .ambients import parse_ambient
 from .checks import SUITES, run_suite
 from .intervals import IntervalError
@@ -53,6 +53,8 @@ def _load_json(path):
 def _ambient(spec):
     try:
         return parse_ambient(spec)
+    except SizeLimitError:
+        raise
     except (AmbientError, ValueError) as exc:
         raise CliError(f"bad ambient spec: {exc}", EXIT_PARSE)
 
@@ -249,6 +251,9 @@ def main(argv=None):
         code = EXIT_BUDGET
     except EnumerationBoundError as exc:
         print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
+        code = EXIT_BUDGET
+    except SizeLimitError as exc:
+        print(f"size limit exceeded: {exc}", file=sys.stderr)
         code = EXIT_BUDGET
     except WindowError as exc:
         print(f"window violation: {exc}", file=sys.stderr)

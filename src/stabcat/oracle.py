@@ -583,16 +583,24 @@ def _sub_quotient_classes(shape, p: int, e_multiset, dims_query):
     return frozenset(classes)
 
 
+# (shape, p, A, B) -> (middle terms, needs, largest need or 0); the needs are
+# (count, unit, E), in sweep order, for each E that reached linear algebra
 _MIDDLE_CACHE = {}
+_NEEDS = {"maps": "Hom enumeration", "tuples": "submodule enumeration"}
 
 
-def _witness(a_multiset, b_multiset, e_multiset) -> str:
-    """The end terms and the candidate middle term, for a budget message."""
-    names = ("+".join(str(d) for d in ms) for ms in (a_multiset, b_multiset, e_multiset))
-    return "(A = {}, B = {}, E = {})".format(*names)
+def _check_budget(needs, a_multiset, b_multiset) -> None:
+    """Raise for the first need above the budget, naming the end terms, the
+    candidate middle term, the count and the budget."""
+    budget = budget_limit()
+    for count, unit, cand in needs:
+        if count > budget:
+            a, b, e = ("+".join(map(str, ms)) for ms in (a_multiset, b_multiset, cand))
+            raise BudgetExceededError(f"{_NEEDS[unit]} needs {count} {unit}, budget {budget} "
+                                      f"(A = {a}, B = {b}, E = {e})")
 
 
-def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int | None = None):
+def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     """Middle-term multisets of non-split 0 -> ⊕A -> E -> ⊕B -> 0.
 
     Exhaustive over all candidate multisets E of the right dimension vector.
@@ -603,14 +611,17 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
     decomposable A the arrow-stable submodules of E are enumerated instead,
     which tests the same condition (the image of an injection is a submodule
     isomorphic to ⊕A and conversely).  The split multiset A + B is excluded
-    by definition.
+    by definition.  The budget (`STABCAT_BUDGET`) bounds the maps or
+    submodule tuples of each candidate, and holds for cached answers too.
     """
     a_multiset = tuple(sorted(a_multiset, key=str))
     b_multiset = tuple(sorted(b_multiset, key=str))
     key = (shape, p, a_multiset, b_multiset)
     if key in _MIDDLE_CACHE:
-        return _MIDDLE_CACHE[key]
-    budget = budget or budget_limit()
+        result, needs, peak = _MIDDLE_CACHE[key]
+        if peak and peak > budget_limit():
+            _check_budget(needs, a_multiset, b_multiset)
+        return result
     a_rep = direct_sum([build_indec(shape, d, p) for d in a_multiset])
     b_rep = direct_sum([build_indec(shape, d, p) for d in b_multiset])
     verts = vertices(shape)
@@ -625,7 +636,7 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
     b_idx = [pos[d] for d in b_multiset]
     a_prof = _hom_profile(descs, table, a_multiset)
     b_prof = _hom_profile(descs, table, b_multiset)
-    found = set()
+    found, needs = set(), []
     for cand, into, out in _candidates(shape, p, target, total_len):
         if cand == split or not _hom_bounds_admit((into, out), a_prof, b_prof, a_idx, b_idx):
             continue
@@ -635,9 +646,8 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
             r = len(basis)
             if r == 0:
                 continue
-            if p ** r > budget:
-                raise BudgetExceededError(f"Hom enumeration needs {p ** r} maps, budget {budget} "
-                                          + _witness(a_multiset, b_multiset, cand))
+            needs.append((p ** r, "maps", cand))
+            _check_budget(needs[-1:], a_multiset, b_multiset)
             for coeffs in _projective_coeff_vectors(r, p):
                 fmap = _assemble(basis, coeffs, verts, p)
                 if not _is_injective(fmap, a_rep, p):
@@ -650,20 +660,19 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2, budget: int 
             n_tuples = 1
             for v, k in dims_query:
                 n_tuples *= _gauss_count(e_rep.dims[v], k, p)
-            if n_tuples > budget:
-                raise BudgetExceededError(f"submodule enumeration needs {n_tuples} tuples, "
-                                          f"budget {budget} " + _witness(a_multiset, b_multiset, cand))
+            needs.append((n_tuples, "tuples", cand))
+            _check_budget(needs[-1:], a_multiset, b_multiset)
             classes = _sub_quotient_classes(shape, p, cand, dims_query)
             if (a_multiset, b_multiset) in classes:
                 found.add(cand)
     result = frozenset(found)
-    _MIDDLE_CACHE[key] = result
+    _MIDDLE_CACHE[key] = result, tuple(needs), max((n for n, _, _ in needs), default=0)
     return result
 
 
-def middle_terms_bruteforce(shape, a, b, p: int = 2, budget: int | None = None):
+def middle_terms_bruteforce(shape, a, b, p: int = 2):
     """Middle terms of non-split extensions of the indecomposable b by a."""
-    return middle_terms_of_sums(shape, (a,), (b,), p=p, budget=budget)
+    return middle_terms_of_sums(shape, (a,), (b,), p=p)
 
 
 def _multisets_up_to_length(shape, p, pool, max_total):
@@ -686,8 +695,7 @@ def _multisets_up_to_length(shape, p, pool, max_total):
     return out
 
 
-def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2,
-                                budget: int | None = None):
+def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2):
     """Fixpoint of adding all summands of middle terms of short exact
     sequences with possibly decomposable end terms from the current set,
     restricted to total length <= length_bound."""
@@ -701,7 +709,7 @@ def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2,
             for b_ms, b_len in zip(sums, lengths):
                 if a_len + b_len > length_bound:
                     continue
-                for middle in middle_terms_of_sums(shape, a_ms, b_ms, p=p, budget=budget):
+                for middle in middle_terms_of_sums(shape, a_ms, b_ms, p=p):
                     for comp in middle:
                         if comp not in current:
                             current.add(comp)

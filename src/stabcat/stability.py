@@ -2,12 +2,14 @@
 comparison, cuts and exhaustive enumeration of valid and finest data.
 
 A stability datum is a linearly ordered set of phases plus one extension
-closed piece per phase.  Validity means Hom vanishes from higher to lower
-phase and every object in the ambient's validation scope admits a filtration
-with semistable factors of strictly decreasing phase; the filtration search
-runs over the ambient's subobject decompositions and is exhaustive within
-the model, so a failure is a genuine axiom violation for the windowed
-category.
+closed piece per phase.  A datum is canonical when built: it keeps only the
+phases whose pieces are non-empty, in order, so every consumer reads the
+same phases and none makes a canonical copy.  Validity means Hom vanishes
+from higher to lower phase and every object in the ambient's validation
+scope admits a filtration with semistable factors of strictly decreasing
+phase; the filtration search runs over the ambient's subobject
+decompositions and is exhaustive within the model, so a failure is a
+genuine axiom violation for the windowed category.
 
 The search generates only phase-admissible quotients: for each sub of x it
 finds the sub's chains first and asks the ambient (`phase_quotients`) only
@@ -33,7 +35,7 @@ from .subcat import EnumerationBoundError, canon_members, closure, ctx_for, is_c
 from .torsion import TorsionPair, torsion_lattice
 
 _HN_COMBO_CAP = 512
-FINEST_LIMIT = 20000  # finest data `enumerate_finest` builds at most
+FINEST_LIMIT = 20000  # data `enumerate_finest` or `enumerate_valid` builds at most
 
 
 class StabilityError(ValueError):
@@ -60,15 +62,21 @@ def json_strings(value, what: str) -> list:
 
 
 class StabilityData:
-    """Phases and pieces, read-only: the datum caches its HN search for the
-    ambient it was last searched over (`hn_search`)."""
+    """Phases and pieces, read-only and canonical when built: every piece
+    must sit at a phase of `order`, and only the phases with non-empty pieces
+    are kept, in order.  The datum caches its HN search for the ambient it
+    was last searched over (`hn_search`)."""
 
     def __init__(self, order: ExplicitOrder, pieces: dict):
-        self.order = order
-        self.pieces = MappingProxyType({ph: frozenset(m) for ph, m in pieces.items()})
-        for ph in self.pieces:
+        frozen = {ph: frozenset(m) for ph, m in pieces.items()}
+        for ph in frozen:
             if not order.contains(ph):
                 raise StabilityError(f"phase {ph} is not carried by the order")
+        if len(frozen) < len(order.elements()) or not all(frozen.values()):
+            order = ExplicitOrder(ph for ph in order.elements() if frozen.get(ph))
+            frozen = {ph: frozen[ph] for ph in order.elements()}
+        self.order = order
+        self.pieces = MappingProxyType(frozen)
         self._search = None
 
     def hn_search(self, ambient) -> "HNSearch":
@@ -78,7 +86,7 @@ class StabilityData:
         return self._search
 
     def phases(self) -> tuple:
-        return tuple(ph for ph in self.order.elements() if ph in self.pieces)
+        return self.order.elements()
 
     def piece_sequence(self) -> tuple:
         return tuple(self.pieces[ph] for ph in self.phases())
@@ -90,14 +98,9 @@ class StabilityData:
                 out.setdefault(m, ph)
         return out
 
-    def canonicalized(self) -> "StabilityData":
-        """Drop empty pieces; comparisons never see phantom phases."""
-        kept = [ph for ph in self.order.elements() if self.pieces.get(ph)]
-        return StabilityData(ExplicitOrder(kept), {ph: self.pieces[ph] for ph in kept})
-
     def relabeled(self) -> "StabilityData":
         """Same piece sequence with integer phases 1..k."""
-        seq = self.canonicalized().piece_sequence()
+        seq = self.piece_sequence()
         phases = [Phase.integer(i + 1) for i in range(len(seq))]
         return StabilityData(ExplicitOrder(phases), dict(zip(phases, seq)))
 
@@ -132,9 +135,6 @@ class HNFiltration:
     obj: object
     steps: tuple  # ((subobject or None, factor multiset, phase), ...), top phase first
 
-    def factors(self) -> tuple:
-        return tuple((ph, fac) for _, fac, ph in self.steps)
-
 
 @dataclass
 class ValidationReport:
@@ -163,7 +163,7 @@ class ValidationReport:
 class HNSearch:
     """The HN search of one datum over one ambient.
 
-    Holds the canonical datum, `owner` (carrier member -> index of the
+    Holds the datum's phases, `owner` (carrier member -> index of the
     lowest phase whose piece holds it) and the chain memo keyed by
     extended-space object.  Chains are tuples of (phase, sorted factors,
     upto) steps, top phase first.  The chains of each sub multiset of x
@@ -173,13 +173,12 @@ class HNSearch:
 
     def __init__(self, ambient, sd: StabilityData):
         self.ambient = ambient
-        self.canon = sd.canonicalized()
-        self.phases = self.canon.phases()
+        self.phases = sd.phases()
         self.pidx = {ph: i for i, ph in enumerate(self.phases)}
         carrier = frozenset(ambient.carrier())
         self.owner = {}
         for p, ph in enumerate(self.phases):
-            for m in self.canon.pieces[ph]:
+            for m in sd.pieces[ph]:
                 if m not in carrier:
                     raise StabilityError(f"piece at phase {ph} contains {m}, not in the carrier")
                 self.owner.setdefault(m, p)
@@ -245,7 +244,6 @@ class HNSearch:
 def _hn_chains_reference(ambient, sd: StabilityData, x) -> tuple:
     """Test oracle for `hn_chains`: the descriptor-based search with a fresh
     memo, testing quotients through `piece_of_map`."""
-    sd = sd.canonicalized()
     pidx = {ph: i for i, ph in enumerate(sd.order.elements())}
     return _reference_chains(ambient, sd, x, {}, sd.piece_of_map(), pidx)
 
@@ -316,7 +314,6 @@ def hn_filtration(ambient, sd: StabilityData, x) -> HNFiltration:
 def validate(ambient, sd: StabilityData) -> ValidationReport:
     search = sd.hn_search(ambient)
     report = ValidationReport(valid=True)
-    sd = search.canon
     phases = sd.phases()
     for ph in phases:
         if not is_closed(ambient, sd.pieces[ph]):
@@ -345,7 +342,6 @@ def validate(ambient, sd: StabilityData) -> ValidationReport:
 
 def is_finest(ambient, sd: StabilityData):
     """Mutual Hom-nonvanishing within every phase; witness is a failing pair."""
-    sd = sd.canonicalized()
     for ph in sd.phases():
         members = canon_members(sd.pieces[ph])
         for x in members:
@@ -357,7 +353,6 @@ def is_finest(ambient, sd: StabilityData):
 
 def split_phase(ambient, sd: StabilityData, phase, x) -> StabilityData:
     """Split Π_φ along x: Π_- = {Z : Hom(x, Z) = 0}, Π_+ its left-perp part."""
-    sd = sd.canonicalized()
     piece = sd.pieces.get(phase)
     if piece is None:
         raise StabilityError(f"no piece at phase {phase}")
@@ -369,34 +364,24 @@ def split_phase(ambient, sd: StabilityData, phase, x) -> StabilityData:
     plus = frozenset(w for w in piece if all(not ambient.hom_nonzero(w, z) for z in minus))
     lo = Phase.pair(phase, Phase.label("lo"))
     hi = Phase.pair(phase, Phase.label("hi"))
-    new_phases = []
-    for ph in sd.phases():
-        if ph == phase:
-            new_phases.extend([lo, hi])
-        else:
-            new_phases.append(ph)
-    pieces = {ph: sd.pieces[ph] for ph in sd.phases() if ph != phase}
-    pieces[lo] = minus
-    pieces[hi] = plus
+    new_phases = [q for ph in sd.phases() for q in ((lo, hi) if ph == phase else (ph,))]
+    pieces = {ph: p for ph, p in sd.pieces.items() if ph != phase} | {lo: minus, hi: plus}
     return StabilityData(ExplicitOrder(new_phases), pieces)
 
 
 def refine_to_finest(ambient, sd: StabilityData) -> StabilityData:
     """Split non-Hom-connected phases until finest; terminates because each
     split strictly increases the phase count, bounded by the carrier size."""
-    current = sd.canonicalized()
     while True:
-        finest, witness = is_finest(ambient, current)
+        finest, witness = is_finest(ambient, sd)
         if finest:
-            return current
+            return sd
         ph, x, _ = witness
-        current = split_phase(ambient, current, ph, x).canonicalized()
+        sd = split_phase(ambient, sd, ph, x)
 
 
 def is_coarser(ambient, coarse: StabilityData, fine: StabilityData):
     """The surjection r: Φ_fine -> Φ_coarse of the finer/coarser order, if any."""
-    coarse = coarse.canonicalized()
-    fine = fine.canonicalized()
     r = {}
     for psi in fine.phases():
         members = fine.pieces[psi]
@@ -406,7 +391,6 @@ def is_coarser(ambient, coarse: StabilityData, fine: StabilityData):
         r[psi] = targets[0]
     if set(r.values()) != set(coarse.phases()):
         return None
-    fidx = {ph: i for i, ph in enumerate(fine.phases())}
     cidx = {ph: i for i, ph in enumerate(coarse.phases())}
     psis = fine.phases()
     for i, p1 in enumerate(psis):
@@ -422,12 +406,11 @@ def is_coarser(ambient, coarse: StabilityData, fine: StabilityData):
 
 def equivalent(sd1: StabilityData, sd2: StabilityData) -> bool:
     """Order-preserving bijection matching the pieces."""
-    return sd1.canonicalized().piece_sequence() == sd2.canonicalized().piece_sequence()
+    return sd1.piece_sequence() == sd2.piece_sequence()
 
 
 def cut_torsion_pair(ambient, sd: StabilityData, lower_phases):
     """Torsion pair from a down-closed cut: T from above, F from below."""
-    sd = sd.canonicalized()
     lower = set(lower_phases)
     phases = sd.phases()
     for ph in lower:
@@ -438,26 +421,21 @@ def cut_torsion_pair(ambient, sd: StabilityData, lower_phases):
             for below in phases[:i]:
                 if below not in lower:
                     raise StabilityError(f"cut is not down-closed: contains {ph} but not {below}")
-    t_members = [sd.pieces[ph] for ph in phases if ph not in lower]
-    f_members = [sd.pieces[ph] for ph in phases if ph in lower]
-    t = closure(ambient, frozenset().union(*t_members) if t_members else frozenset())
-    f = closure(ambient, frozenset().union(*f_members) if f_members else frozenset())
+    t = closure(ambient, frozenset().union(*(sd.pieces[ph] for ph in phases if ph not in lower)))
+    f = closure(ambient, frozenset().union(*(sd.pieces[ph] for ph in phases if ph in lower)))
     return TorsionPair(t, f)
 
 
 def all_cuts(sd: StabilityData):
-    phases = sd.canonicalized().phases()
+    phases = sd.phases()
     return [set(phases[:k]) for k in range(len(phases) + 1)]
 
 
 # -- τ-action ----------------------------------------------------------------
 
 def tau_translate(ambient, sd: StabilityData, k: int = 1) -> StabilityData:
-    sd = sd.canonicalized()
-    pieces = {}
-    for ph in sd.phases():
-        pieces[ph] = frozenset(_tau_iter(ambient, m, k) for m in sd.pieces[ph])
-    return StabilityData(sd.order, pieces)
+    return StabilityData(sd.order, {ph: frozenset(_tau_iter(ambient, m, k) for m in piece)
+                                    for ph, piece in sd.pieces.items()})
 
 
 def _tau_iter(ambient, x, k):
@@ -475,20 +453,13 @@ def _sequence_key(sd: StabilityData):
 
 def tau_canonical_key(ambient, sd: StabilityData):
     """Lexicographically minimal translate of the piece sequence."""
-    keys = []
-    for k in range(ambient.tau_order()):
-        keys.append(_sequence_key(tau_translate(ambient, sd, k)))
-    return min(keys)
+    return min(_sequence_key(tau_translate(ambient, sd, k)) for k in range(ambient.tau_order()))
 
 
 def tau_orbit_size(ambient, sd: StabilityData) -> int:
     base = _sequence_key(sd)
-    size = ambient.tau_order()
-    for k in range(1, ambient.tau_order()):
-        if _sequence_key(tau_translate(ambient, sd, k)) == base:
-            size = k
-            break
-    return size
+    return next((k for k in range(1, ambient.tau_order())
+                 if _sequence_key(tau_translate(ambient, sd, k)) == base), ambient.tau_order())
 
 
 # -- enumeration --------------------------------------------------------------
@@ -559,11 +530,17 @@ def _valid_data_over_pieces(ambient, pieces_pool):
     return results
 
 
-def _chain_data(ambient, successors: dict) -> list:
+def _chain_data(ambient, successors: dict, what: str) -> list:
     """The datum of every chain from the bottom class (the first key) to the
     carrier along `successors`: the step T < U gives the piece U & T^perp,
     and the last step phase 1.  `torsion_lattice` certifies every such
-    datum, so none is checked here.  Data share one piece set per step."""
+    datum, so none is checked here.  Data share one piece set per step.
+    Over FINEST_LIMIT chains raise EnumerationBoundError, naming the ambient,
+    the count of `what` and the limit, before any datum is built."""
+    count = _count_chains(successors)
+    if count > FINEST_LIMIT:
+        raise EnumerationBoundError(f"{ambient.spec_string()} has {count} {what}, "
+                                    f"more than the enumeration limit {FINEST_LIMIT}")
     ctx = ctx_for(ambient)
     steps = {t: [(u, ctx.to_set(u & ctx.right_perp_mask(t))) for u in reversed(us)]
              for t, us in successors.items()}
@@ -584,10 +561,11 @@ def enumerate_valid(ambient) -> list:
     """Every valid stability datum up to equivalence (small carriers only),
     sorted by piece sequence: one per chain of `torsion_lattice`, stepping
     from each class to every strictly larger one.  The lattice certificate
-    makes each such datum valid; none is validated here."""
+    makes each such datum valid; none is validated here.  Over FINEST_LIMIT
+    chains raise EnumerationBoundError at once."""
     covers = torsion_lattice(ambient)
     larger = {t: tuple(u for u in covers if u != t and t & ~u == 0) for t in covers}
-    out = _chain_data(ambient, larger)
+    out = _chain_data(ambient, larger, "valid data")
     out.sort(key=_sequence_key)
     return out
 
@@ -615,17 +593,19 @@ def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
     return finest
 
 
-def _count_maximal_chains(covers: dict) -> int:
-    """Maximal chains of the lattice, by a DP over the covers from the top."""
+def _count_chains(successors: dict) -> int:
+    """Chains from the bottom class (the first key) to the carrier along
+    `successors`, by a DP from the top: the maximal chains when they are the
+    covers, every chain when they are all strictly larger classes."""
     count = {}
-    for t in sorted(covers, key=lambda t: -t.bit_count()):
-        count[t] = sum(count[u] for u in covers[t]) if covers[t] else 1
-    return count[next(iter(covers))]
+    for t in sorted(successors, key=lambda t: -t.bit_count()):
+        count[t] = sum(count[u] for u in successors[t]) if successors[t] else 1
+    return count[next(iter(successors))]
 
 
 def count_finest(ambient) -> int:
     """Count the finest data (maximal chains of `torsion_lattice`) without building any."""
-    return _count_maximal_chains(torsion_lattice(ambient))
+    return _count_chains(torsion_lattice(ambient))
 
 
 def enumerate_finest(ambient, upto_tau: bool = False) -> list:
@@ -640,12 +620,7 @@ def enumerate_finest(ambient, upto_tau: bool = False) -> list:
     is validated: `torsion_lattice` certifies each class and cover once.
     Over FINEST_LIMIT maximal chains raise EnumerationBoundError at once.
     """
-    covers = torsion_lattice(ambient)
-    count = _count_maximal_chains(covers)
-    if count > FINEST_LIMIT:
-        raise EnumerationBoundError(f"{ambient.spec_string()} has {count} finest data, "
-                                    f"more than the enumeration limit {FINEST_LIMIT}")
-    finest = _chain_data(ambient, covers)
+    finest = _chain_data(ambient, torsion_lattice(ambient), "finest data")
     finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
     if not upto_tau:
         return finest

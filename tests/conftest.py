@@ -9,7 +9,6 @@ from stabcat.subcat import closure
 
 def _merge_adjacent(ambient, sd, i):
     """Fuse phases i and i+1 of sd into one piece (the closure of their union)."""
-    sd = sd.canonicalized()
     phases = sd.phases()
     lo, hi = phases[i], phases[i + 1]
     new_phases = [ph for ph in phases if ph != hi]

@@ -74,16 +74,54 @@ def test_window_violation_exit_three(tmp_path):
     assert "window" in out.stderr.lower()
 
 
-def test_budget_violation_exit_four(monkeypatch):
-    from stabcat import oracle
-
-    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})  # no answer left by an earlier test
+def test_budget_violation_exit_four():
     out = run_cli("oracle-check", "tube-middle", env_extra={"STABCAT_BUDGET": "1"})
     assert out.returncode == 4
     assert "budget" in out.stderr.lower()
     # the witness: both end terms, the candidate middle term, the count and the budget
     assert out.stderr.strip() == ("budget exceeded: Hom enumeration needs 2 maps, budget 1 "
                                   "(A = S0^(1)@1, B = S0^(1)@1, E = S0^(2)@1)")
+
+
+def test_budget_holds_after_a_warm_run():
+    """An answer cached by an earlier run in the process does not bypass a
+    smaller budget: the second run fails exactly as a fresh process does."""
+    assert run_cli("oracle-check", "tube-middle", "--jobs", "1").returncode == 0
+    out = run_cli("oracle-check", "tube-middle", "--jobs", "1", env_extra={"STABCAT_BUDGET": "1"})
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr == ("budget exceeded: Hom enumeration needs 2 maps, budget 1 "
+                          "(A = S0^(1)@1, B = S0^(1)@1, E = S0^(2)@1)\n")
+
+
+@pytest.mark.parametrize("spec, size", [
+    ("an:99999999999999999999", 4999999999999999999950000000000000000000),
+    ("tube:13", 338),
+    ("p1:window=-200..200:points=2", 405),
+    ("x2:window=-80..80:points=3", 338),
+    ("kronecker:window=61:points=3", 305),
+])
+def test_oversize_spec_exit_four(spec, size):
+    """A spec asking for more members than the limit is refused from its
+    parameters, before any carrier member is built."""
+    refuse = mock.Mock(side_effect=AssertionError("a carrier was built"))
+    with mock.patch.multiple("stabcat.ambients", TubeAmbient=refuse, IntervalAmbient=refuse,
+                             P1Ambient=refuse, X2Ambient=refuse, KroneckerAmbient=refuse):
+        out = run_cli("finest", "--ambient", spec)
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr == (f"size limit exceeded: {spec} asks for {size} carrier members, "
+                          "more than the limit 300\n")
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("p1:window=-2..2:point=2", "point"),
+    ("x2:windw=-9..9", "windw"),
+    ("kronecker:window=6:pts=3", "pts"),
+])
+def test_unknown_ambient_option_exit_two(spec, key):
+    out = run_cli("finest", "--ambient", spec)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == (f"error: bad ambient spec: unknown ambient option {key!r} in {spec!r} "
+                          "(known: points, window)\n")
 
 
 def test_enumeration_bound_exit_four():

@@ -87,21 +87,44 @@ def test_closure_fixpoint_examples():
     assert oracle.closure_fixpoint_bruteforce(("cyclic", 2), [], 6, 2) == frozenset()
 
 
-def test_budget_rejection():
-    oracle._MIDDLE_CACHE.pop((("cyclic", 1), 2, (TubeIndec(1, 0, 2),), (TubeIndec(1, 0, 2),)), None)
+def test_budget_rejection(monkeypatch):
+    monkeypatch.setenv("STABCAT_BUDGET", "1")
     # the first candidate past the Hom bounds is S^(3)+S^(1), with dim Hom(A, E) = 3
     with pytest.raises(oracle.BudgetExceededError,
                        match=r"needs 8 maps, budget 1 \(A = S0\^\(2\)@1, B = S0\^\(2\)@1, "
                              r"E = S0\^\(1\)@1\+S0\^\(3\)@1\)"):
-        oracle.middle_terms_bruteforce(("cyclic", 1), TubeIndec(1, 0, 2), TubeIndec(1, 0, 2),
-                                       p=2, budget=1)
+        oracle.middle_terms_bruteforce(("cyclic", 1), TubeIndec(1, 0, 2), TubeIndec(1, 0, 2), p=2)
     s1 = TubeIndec(1, 0, 1)
-    oracle._MIDDLE_CACHE.pop((("cyclic", 1), 2, (s1, s1), (s1,)), None)
     # decomposable A: E = S^(1)+S^(2) has 7 two-dimensional subspaces
     with pytest.raises(oracle.BudgetExceededError,
                        match=r"needs 7 tuples, budget 1 \(A = S0\^\(1\)@1\+S0\^\(1\)@1, "
                              r"B = S0\^\(1\)@1, E = S0\^\(1\)@1\+S0\^\(2\)@1\)"):
-        oracle.middle_terms_of_sums(("cyclic", 1), (s1, s1), (s1,), p=2, budget=1)
+        oracle.middle_terms_of_sums(("cyclic", 1), (s1, s1), (s1,), p=2)
+
+
+def test_budget_holds_on_cache_hits(monkeypatch):
+    """A cached answer under a smaller budget raises exactly what a fresh
+    sweep raises: the first candidate, in sweep order, above the budget."""
+    s2, s1 = TubeIndec(1, 0, 2), TubeIndec(1, 0, 1)
+    queries = [((s2,), (s2,)), ((s1, s1), (s1,))]
+    fresh = []
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_MIDDLE_CACHE", {})
+        m.setenv("STABCAT_BUDGET", "1")
+        for a, b in queries:
+            with pytest.raises(oracle.BudgetExceededError) as exc:
+                oracle.middle_terms_of_sums(("cyclic", 1), a, b, p=2)
+            fresh.append(str(exc.value))
+    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
+    warm = [oracle.middle_terms_of_sums(("cyclic", 1), a, b, p=2) for a, b in queries]
+    assert all(warm)
+    monkeypatch.setenv("STABCAT_BUDGET", "1")
+    for (a, b), message in zip(queries, fresh):
+        with pytest.raises(oracle.BudgetExceededError) as exc:
+            oracle.middle_terms_of_sums(("cyclic", 1), a, b, p=2)
+        assert str(exc.value) == message
+    monkeypatch.setenv("STABCAT_BUDGET", "8")  # the largest need of either sweep
+    assert [oracle.middle_terms_of_sums(("cyclic", 1), a, b, p=2) for a, b in queries] == warm
 
 
 def test_submodule_path_agrees_with_map_path():
@@ -194,9 +217,9 @@ def test_hom_bounds_agree_with_unbounded_sweep_on_t2_closure_queries(monkeypatch
     seen = []
     sweep = oracle.middle_terms_of_sums
 
-    def record(shape_, a, b, p=2, budget=None):
+    def record(shape_, a, b, p=2):
         seen.append((shape_, tuple(a), tuple(b), p))
-        return sweep(shape_, a, b, p=p, budget=budget)
+        return sweep(shape_, a, b, p=p)
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "middle_terms_of_sums", record)

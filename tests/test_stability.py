@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 
 import pytest
@@ -14,9 +15,10 @@ from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
                                all_cuts, count_finest, cut_torsion_pair,
                                enumerate_finest, enumerate_valid, equivalent, hn_chains,
                                hn_filtration, is_coarser, is_finest, refine_to_finest,
-                               split_phase, tau_orbit_size, tau_translate, validate)
+                               split_phase, tau_canonical_key, tau_orbit_size,
+                               tau_translate, validate)
 from stabcat.subcat import EnumerationBoundError, canon_members, closure, left_perp, right_perp
-from stabcat.torsion import TorsionError
+from stabcat.torsion import TorsionError, torsion_lattice
 from stabcat.tube import TubeIndec
 
 
@@ -197,6 +199,41 @@ def test_tau_translate_not_equivalent_but_same_orbit():
     assert tau_canonical_key(t3, sd) == tau_canonical_key(t3, shifted)
 
 
+def test_datum_canonical_when_built():
+    """Construction keeps only the phases with non-empty pieces, in order,
+    and still refuses a piece at a phase outside the order."""
+    a2 = IntervalAmbient(2)
+    s1, s2 = a2.parse("S1"), a2.parse("S2")
+    ph = [Phase.integer(i) for i in range(1, 5)]
+    sd = StabilityData(ExplicitOrder(ph), {ph[2]: [s2], ph[1]: frozenset(), ph[0]: {s1}})
+    assert sd.phases() == sd.order.elements() == (ph[0], ph[2])
+    assert dict(sd.pieces) == {ph[0]: frozenset({s1}), ph[2]: frozenset({s2})}
+    assert equivalent(sd, sd_over(a2, ["S1"], ["S2"]))
+    assert sd.to_json() == {"order": ["1", "3"], "pieces": {"1": [str(s1)], "3": [str(s2)]}}
+    for piece in ({s1}, frozenset()):
+        with pytest.raises(StabilityError, match="phase 5 is not carried by the order"):
+            StabilityData(ExplicitOrder(ph), {ph[0]: {s1}, Phase.integer(5): piece})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tau_orbit_ignores_empty_phases(n):
+    """An empty phase changes neither the τ-orbit size nor the τ-canonical
+    key: the one-piece datum is τ-fixed with or without it."""
+    amb = TubeAmbient(n)
+    one, empty = Phase.integer(1), Phase.label("e")
+    whole = StabilityData(ExplicitOrder([one]), {one: frozenset(amb.carrier())})
+    padded = StabilityData(ExplicitOrder([empty, one]),
+                           {empty: frozenset(), one: frozenset(amb.carrier())})
+    assert tau_orbit_size(amb, whole) == tau_orbit_size(amb, padded) == 1
+    assert tau_canonical_key(amb, padded) == tau_canonical_key(amb, whole)
+    for sd in enumerate_finest(amb):
+        phases = sd.phases()
+        order = ExplicitOrder(phases[:1] + (empty,) + phases[1:])
+        with_empty = StabilityData(order, {**sd.pieces, empty: frozenset()})
+        assert tau_orbit_size(amb, with_empty) == tau_orbit_size(amb, sd)
+        assert tau_canonical_key(amb, with_empty) == tau_canonical_key(amb, sd)
+
+
 def test_cut_examples():
     a2 = IntervalAmbient(2)
     finest1 = sd_over(a2, ["S2"], ["P1"], ["S1"])
@@ -369,6 +406,27 @@ def test_enumerate_finest_limit():
         enumerate_finest(IntervalAmbient(6))
 
 
+def test_enumerate_valid_limit():
+    """Both enumerations count their chains before building any datum:
+    the count of all chains is the number of valid data, and above
+    FINEST_LIMIT `enumerate_valid` is refused at once."""
+    for spec in ["an:2", "an:3", "an:4", "tube:2", "tube:3"]:
+        covers = torsion_lattice(parse_ambient(spec))
+        larger = {t: tuple(u for u in covers if u != t and t & ~u == 0) for t in covers}
+        assert stability._count_chains(larger) == len(enumerate_valid(parse_ambient(spec)))
+    assert len(enumerate_valid(IntervalAmbient(4))) == 5077
+    covers = torsion_lattice(TubeAmbient(4))
+    assert stability._count_chains({t: tuple(u for u in covers if u != t and t & ~u == 0)
+                                    for t in covers}) == 17543
+    assert 17543 <= stability.FINEST_LIMIT  # tube:4 still enumerates
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBoundError) as exc:
+        enumerate_valid(IntervalAmbient(5))
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == ("an:5 has 1624917 valid data, "
+                              f"more than the enumeration limit {stability.FINEST_LIMIT}")
+
+
 def test_enumerate_finest_counts():
     assert len(enumerate_finest(IntervalAmbient(2))) == 2
     assert len(enumerate_finest(IntervalAmbient(3))) == 9
@@ -467,7 +525,7 @@ def test_split_phase_on_tube_one_phase_datum():
     out = split_phase(t2, one, ph, x)
     assert validate(t2, out).valid
     assert is_coarser(t2, one, out) is not None
-    assert len(out.canonicalized().phases()) == 2
+    assert len(out.phases()) == 2
 
 
 def test_enumerate_finest_bound_guard():

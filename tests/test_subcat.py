@@ -143,14 +143,13 @@ def test_carrier_context_lives_with_its_ambient():
     lambda: KroneckerAmbient(3, 2),
 ], ids=["tube", "p1", "x2", "kronecker"])
 def test_method_caches_live_with_their_ambient(make):
-    """The middle-term and decomposition memos are stored on the ambient:
-    an ambient whose tables were built is freed once dropped."""
+    """The carrier tables and the carrier-decomposition memo are stored on
+    the ambient: an ambient whose tables were built is freed once dropped."""
     amb = make()
     subcat.ctx_for(amb)
     for x in amb.carrier():
-        amb.decompositions(x)
-    memos = [k for k in vars(amb) if k.startswith("_memo_")]
-    assert memos and all(vars(amb)[k] for k in memos)
+        amb.carrier_decompositions(x)
+    assert len(vars(amb)["_carrier_decompositions"]) == len(amb.carrier())
     ref = weakref.ref(amb)
     del amb
     gc.collect()
