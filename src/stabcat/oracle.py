@@ -10,7 +10,12 @@ dimensions between indecomposables (cyclic and linear shapes only).  The
 same table filters the candidate middle terms: Hom(X, -) and Hom(-, X) are
 left exact, so a middle term E of 0 -> A -> E -> B -> 0 obeys exact
 Hom-dimension bounds against every indecomposable X, and a candidate that
-fails them is dropped before any injection is tried.
+fails them is dropped before any injection is tried.  For decomposable A,
+whether a pair of end terms occurs is read from one resumable sweep over
+the submodules of each candidate E per dimension vector: the sweep records
+each pair of sub and quotient classes it passes, stops at the first match,
+and the next query with the same E and dimension vector, whatever its A and
+B, looks among the recorded pairs first and resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, product
 from math import lcm
 
 from . import gf
@@ -527,18 +533,16 @@ def _gauss_count(d: int, k: int, p: int) -> int:
     return num // den
 
 
-def _submodules_with_dims(e_rep: QuiverRep, dims_query):
-    """Arrow-stable subspace tuples of e_rep with the given dimension vector,
-    returned as per-vertex row-basis matrices."""
-    from itertools import product as iproduct
-
+def _submodules_with_dims(e_rep: QuiverRep, dims_query, start: int = 0):
+    """(index, bases) for each arrow-stable subspace tuple of e_rep with the
+    given dimension vector, bases a per-vertex row-basis matrix.  The index
+    counts every subspace combo in `product` order, stable or not; the
+    enumeration begins at combo `start`."""
     p = e_rep.p
     verts = vertices(e_rep.shape)
-    per_vertex = []
-    for v in verts:
-        per_vertex.append(list(gf.subspaces_fixed(e_rep.dims[v], dims_query[v], p)))
-    out = []
-    for combo in iproduct(*per_vertex):
+    per_vertex = [list(gf.subspaces_fixed(e_rep.dims[v], dims_query[v], p)) for v in verts]
+    combos = islice(product(*per_vertex), start, None)
+    for index, combo in enumerate(combos, start):
         bases = dict(zip(verts, combo))
         stable = True
         for key, src, tgt in arrows(e_rep.shape):
@@ -550,8 +554,7 @@ def _submodules_with_dims(e_rep: QuiverRep, dims_query):
                 stable = False
                 break
         if stable:
-            out.append(bases)
-    return out
+            yield index, bases
 
 
 def _sub_and_quotient(e_rep: QuiverRep, bases):
@@ -571,16 +574,35 @@ def _sub_and_quotient(e_rep: QuiverRep, bases):
     return sub_rep, cokernel_rep(inclusion, sub_rep, e_rep)
 
 
-@lru_cache(maxsize=None)
-def _sub_quotient_classes(shape, p: int, e_multiset, dims_query):
-    """Isomorphism classes (decompose(sub), decompose(E/sub)) over all
-    submodules of ⊕E with the given dimension vector."""
+# (shape, p, E, dims) -> (class pairs (decompose(sub), decompose(E/sub)) seen
+# so far, index of the next subspace combo or None once the sweep has ended)
+_SWEEPS = {}
+
+
+def _has_sub_quotient(shape, p: int, e_multiset, dims_query, pair) -> bool:
+    """Whether some submodule S of ⊕E with the given dimension vector has
+    (decompose(S), decompose(E/S)) == pair.
+
+    One sweep over the submodules of ⊕E serves every query with the same
+    (shape, p, E, dims): a query first looks among the class pairs seen so
+    far, and only on a miss rebuilds ⊕E and resumes the sweep where the last
+    query stopped, recording each pair it passes, until it meets `pair` or
+    the sweep ends.  Between queries only the pairs and the resume index are
+    kept."""
+    key = (shape, p, e_multiset, dims_query)
+    seen, start = _SWEEPS.get(key) or (set(), 0)
+    if pair in seen or start is None:
+        return pair in seen
     e_rep = direct_sum([build_indec(shape, d, p) for d in e_multiset])
-    classes = set()
-    for bases in _submodules_with_dims(e_rep, dict(dims_query)):
+    for index, bases in _submodules_with_dims(e_rep, dict(dims_query), start):
         sub_rep, coker_rep = _sub_and_quotient(e_rep, bases)
-        classes.add((decompose(sub_rep), decompose(coker_rep)))
-    return frozenset(classes)
+        classes = (decompose(sub_rep), decompose(coker_rep))
+        seen.add(classes)
+        if classes == pair:
+            _SWEEPS[key] = seen, index + 1
+            return True
+    _SWEEPS[key] = seen, None
+    return False
 
 
 # (shape, p, A, B) -> (middle terms, needs, largest need or 0); the needs are
@@ -610,9 +632,13 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     space is swept map by map (injectivity + cokernel decomposition); for
     decomposable A the arrow-stable submodules of E are enumerated instead,
     which tests the same condition (the image of an injection is a submodule
-    isomorphic to ⊕A and conversely).  The split multiset A + B is excluded
-    by definition.  The budget (`STABCAT_BUDGET`) bounds the maps or
-    submodule tuples of each candidate, and holds for cached answers too.
+    isomorphic to ⊕A and conversely).  That enumeration is the resumable
+    sweep of `_has_sub_quotient`, shared by every query with the same E and
+    the dimension vector of A: it stops at the first submodule with sub ⊕A
+    and quotient ⊕B, and a later query first looks among the class pairs
+    already passed.  The split multiset A + B is excluded by definition.
+    The budget (`STABCAT_BUDGET`) bounds the maps or submodule tuples of
+    each candidate, and holds for cached answers too.
     """
     a_multiset = tuple(sorted(a_multiset, key=str))
     b_multiset = tuple(sorted(b_multiset, key=str))
@@ -629,6 +655,7 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     total_len = a_rep.total_dim() + b_rep.total_dim()
     split = tuple(sorted(a_multiset + b_multiset, key=str))
     dims_query = tuple(sorted(a_rep.dims.items()))
+    e_dims = dict(target)  # every candidate E has this dimension vector
     by_maps = len(a_multiset) == 1
     descs, table = _hom_table(shape, p, total_len)
     pos = {d: i for i, d in enumerate(descs)}
@@ -640,8 +667,8 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     for cand, into, out in _candidates(shape, p, target, total_len):
         if cand == split or not _hom_bounds_admit((into, out), a_prof, b_prof, a_idx, b_idx):
             continue
-        e_rep = direct_sum([build_indec(shape, d, p) for d in cand])
         if by_maps:
+            e_rep = direct_sum([build_indec(shape, d, p) for d in cand])
             basis = hom_basis(a_rep, e_rep)
             r = len(basis)
             if r == 0:
@@ -659,11 +686,10 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
         else:
             n_tuples = 1
             for v, k in dims_query:
-                n_tuples *= _gauss_count(e_rep.dims[v], k, p)
+                n_tuples *= _gauss_count(e_dims[v], k, p)
             needs.append((n_tuples, "tuples", cand))
             _check_budget(needs[-1:], a_multiset, b_multiset)
-            classes = _sub_quotient_classes(shape, p, cand, dims_query)
-            if (a_multiset, b_multiset) in classes:
+            if _has_sub_quotient(shape, p, cand, dims_query, (a_multiset, b_multiset)):
                 found.add(cand)
     result = frozenset(found)
     _MIDDLE_CACHE[key] = result, tuple(needs), max((n for n, _, _ in needs), default=0)
@@ -698,21 +724,26 @@ def _multisets_up_to_length(shape, p, pool, max_total):
 def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2):
     """Fixpoint of adding all summands of middle terms of short exact
     sequences with possibly decomposable end terms from the current set,
-    restricted to total length <= length_bound."""
+    restricted to total length <= length_bound.
+
+    A round asks only the pairs of end terms that involve a member added in
+    the round before: every other pair was asked in an earlier round, and
+    its answer cannot change.  So each pair is asked once, and the queries
+    come in the order in which asking every pair every round would first
+    make them."""
     current = set(gens)
-    while True:
-        added = False
+    added = set(current)
+    while added:
         members = sorted(current, key=str)
         sums = _multisets_up_to_length(shape, p, members, length_bound - 1)
-        lengths = [sum(build_indec(shape, d, p).total_dim() for d in ms) for ms in sums]
-        for a_ms, a_len in zip(sums, lengths):
-            for b_ms, b_len in zip(sums, lengths):
-                if a_len + b_len > length_bound:
+        rows = [(ms, sum(build_indec(shape, d, p).total_dim() for d in ms),
+                 not added.isdisjoint(ms)) for ms in sums]
+        added = set()
+        for a_ms, a_len, a_new in rows:
+            for b_ms, b_len, b_new in rows:
+                if a_len + b_len > length_bound or not (a_new or b_new):
                     continue
                 for middle in middle_terms_of_sums(shape, a_ms, b_ms, p=p):
-                    for comp in middle:
-                        if comp not in current:
-                            current.add(comp)
-                            added = True
-        if not added:
-            return frozenset(current)
+                    added.update(comp for comp in middle if comp not in current)
+                    current.update(middle)
+    return frozenset(current)

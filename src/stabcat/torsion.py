@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .subcat import (canon_members, check_enumerable, closure, ctx_for, enumerate_ext_closed,
-                     left_perp, right_perp)
+from .subcat import (EnumerationBoundError, canon_members, check_enumerable, closure, ctx_for,
+                     enumerate_ext_closed, left_perp, right_perp)
 
 
 class TorsionError(ValueError):
@@ -117,7 +117,12 @@ def torsion_lattice(ambient) -> dict:
     pieces T_{i+1} & T_i^perp, HN filtrations from the T/F decompositions
     (Gorodentsev-Kuleshov-Rudakov, "t-stabilities and t-structures on
     triangulated categories"), and finest when the chain is maximal.
+
+    Over FINEST_LIMIT classes the walk raises EnumerationBoundError at once,
+    naming the ambient, the count reached and the limit.
     """
+    from . import stability
+
     check_enumerable(ambient)
     ctx = ctx_for(ambient)
 
@@ -139,6 +144,10 @@ def torsion_lattice(ambient) -> dict:
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
+                    if len(seen) > stability.FINEST_LIMIT:
+                        raise EnumerationBoundError(
+                            f"{ambient.spec_string()} has at least {len(seen)} torsion classes, "
+                            f"more than the enumeration limit {stability.FINEST_LIMIT}")
         frontier = nxt
     for t in covers:
         perp, members = ctx.right_perp_mask(t), ctx.to_set(t)

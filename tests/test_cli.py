@@ -138,6 +138,17 @@ def test_finest_limit_exit_four():
                           "more than the enumeration limit 20000\n")
 
 
+@pytest.mark.parametrize("command", ["finest", "torsion"])
+def test_lattice_class_limit_exit_four(monkeypatch, command):
+    from stabcat import stability
+
+    monkeypatch.setattr(stability, "FINEST_LIMIT", 100)
+    out = run_cli(command, "--ambient", "an:5")
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr == ("enumeration bound exceeded: an:5 has at least 101 torsion classes, "
+                          "more than the enumeration limit 100\n")
+
+
 def test_enumeration_disabled_exit_two():
     out = run_module("torsion", "--ambient", "kronecker:window=6:points=3")
     assert out.returncode == 2

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import pytest
 
@@ -142,8 +143,7 @@ def test_submodule_path_agrees_with_map_path():
             for cand, _, _ in oracle._candidates(shape, 2, target, a.t + b.t):
                 if cand == split:
                     continue
-                classes = oracle._sub_quotient_classes(shape, 2, cand, dims_query)
-                if ((a,), (b,)) in classes:
+                if oracle._has_sub_quotient(shape, 2, cand, dims_query, ((a,), (b,))):
                     by_subs.add(cand)
             assert by_maps == frozenset(by_subs), (str(a), str(b))
 
@@ -279,21 +279,17 @@ def test_subobject_chain_matches_submodule_lattice():
     # every subrepresentation of a tube segment lies on the stated chain
     from stabcat.tube import subobject_chain
 
-    x = TubeIndec(2, 0, 3)
-    rep = oracle.build_indec(("cyclic", 2), x, 2)
-    found = []
-    for bases in oracle._submodules_with_dims(rep, {0: 0, 1: 0}):
-        found.append(())
-    all_subs = []
-    import itertools as it
-
+    shape, x = ("cyclic", 2), TubeIndec(2, 0, 3)
+    rep = oracle.build_indec(shape, x, 2)
+    subs = set()
     for d0 in range(rep.dims[0] + 1):
         for d1 in range(rep.dims[1] + 1):
-            for bases in oracle._submodules_with_dims(rep, {0: d0, 1: d1}):
-                sub, _ = oracle._sub_and_quotient(rep, bases)
-                if sub.total_dim():
-                    all_subs.append(oracle.decompose(sub))
-    indecomposable_subs = {ds[0] for ds in all_subs if len(ds) == 1}
+            dims_query = ((0, d0), (1, d1))
+            assert not oracle._has_sub_quotient(shape, 2, (x,), dims_query, None)
+            pairs, resume = oracle._SWEEPS[(shape, 2, (x,), dims_query)]
+            assert resume is None
+            subs |= {sub for sub, _ in pairs if sub}
+    indecomposable_subs = {ds[0] for ds in subs if len(ds) == 1}
     assert indecomposable_subs == set(subobject_chain(x))
 
 
@@ -348,3 +344,163 @@ def test_multisets_up_to_length_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _submodules_reference(e_rep, dims_query):
+    """Every arrow-stable subspace tuple of e_rep with the given dimension
+    vector, as per-vertex row-basis matrices: the eager reference for the
+    resumable sweep."""
+    from itertools import product as iproduct
+
+    p = e_rep.p
+    verts = oracle.vertices(e_rep.shape)
+    per_vertex = []
+    for v in verts:
+        per_vertex.append(list(gf.subspaces_fixed(e_rep.dims[v], dims_query[v], p)))
+    out = []
+    for combo in iproduct(*per_vertex):
+        bases = dict(zip(verts, combo))
+        stable = True
+        for key, src, tgt in oracle.arrows(e_rep.shape):
+            if not bases[src]:
+                continue
+            image = gf.matvecs(e_rep.maps[key], bases[src], p)
+            tgt_basis = bases[tgt]
+            if gf.rank(tgt_basis + image, p) > len(tgt_basis):
+                stable = False
+                break
+        if stable:
+            out.append(bases)
+    return out
+
+
+def _sub_quotient_classes_reference(shape, p, e_multiset, dims_query):
+    """Isomorphism classes (decompose(sub), decompose(E/sub)) over all
+    submodules of ⊕E with the given dimension vector."""
+    e_rep = oracle.direct_sum([oracle.build_indec(shape, d, p) for d in e_multiset])
+    classes = set()
+    for bases in _submodules_reference(e_rep, dict(dims_query)):
+        sub_rep, coker_rep = oracle._sub_and_quotient(e_rep, bases)
+        classes.add((oracle.decompose(sub_rep), oracle.decompose(coker_rep)))
+    return frozenset(classes)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, p):
+    """Every submodule query of one T_2 closure sweep, from empty caches,
+    answers membership in the full class set; driven to its end, each sweep
+    has seen exactly that set and passed each submodule once."""
+    shape = ("cyclic", 2)
+    queries, visits, current = [], {}, []
+    has, subs = oracle._has_sub_quotient, oracle._submodules_with_dims
+
+    def record(*args):
+        current[:] = [args[:4]]
+        queries.append((args, has(*args)))
+        return queries[-1][1]
+
+    def visit(e_rep, dims_query, start=0):
+        for index, bases in subs(e_rep, dims_query, start):
+            visits.setdefault(current[0], []).append(index)
+            yield index, bases
+
+    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
+    monkeypatch.setattr(oracle, "_SWEEPS", {})
+    monkeypatch.setattr(oracle, "_has_sub_quotient", record)
+    monkeypatch.setattr(oracle, "_submodules_with_dims", visit)
+    oracle.closure_fixpoint_bruteforce(shape, [TubeIndec(2, 0, 1), TubeIndec(2, 1, 1)], 5, p)
+    keys = {args[:4] for args, _ in queries}
+    # the sweeps share work: some queries resume a sweep another query began,
+    # and some sweeps end early
+    assert 100 <= len(keys) < len(queries)
+    assert any(resume is not None for _, resume in oracle._SWEEPS.values())
+    reference = {key: _sub_quotient_classes_reference(*key) for key in keys}
+    for args, got in queries:
+        assert got == (args[4] in reference[args[:4]]), args
+    for key in keys:
+        assert not oracle._has_sub_quotient(*key, None)
+        assert oracle._SWEEPS[key] == (set(reference[key]), None), key
+        e_rep = oracle.direct_sum([oracle.build_indec(shape, d, p) for d in key[2]])
+        indices = visits.get(key, [])
+        assert indices == sorted(set(indices)), key
+        assert len(indices) == len(_submodules_reference(e_rep, dict(key[3]))), key
+
+
+def _closure_fixpoint_reference(shape, gens, length_bound, p):
+    """The fixpoint asking every pair of end-term multisets in every round."""
+    current = set(gens)
+    while True:
+        added = False
+        members = sorted(current, key=str)
+        sums = oracle._multisets_up_to_length(shape, p, members, length_bound - 1)
+        lengths = [sum(oracle.build_indec(shape, d, p).total_dim() for d in ms) for ms in sums]
+        for a_ms, a_len in zip(sums, lengths):
+            for b_ms, b_len in zip(sums, lengths):
+                if a_len + b_len > length_bound:
+                    continue
+                for middle in oracle.middle_terms_of_sums(shape, a_ms, b_ms, p=p):
+                    for comp in middle:
+                        if comp not in current:
+                            current.add(comp)
+                            added = True
+        if not added:
+            return frozenset(current)
+
+
+@pytest.mark.parametrize("length_bound", [5, 6])
+def test_closure_asks_each_pair_once_in_reference_order(monkeypatch, length_bound):
+    """On every generator set of the tube-closure-t2 suite, the fixpoint
+    gives the every-pair fixpoint's closure with the same distinct queries,
+    first asked in the same order, and asks no pair twice."""
+    from itertools import combinations
+
+    from stabcat.ambient import TubeAmbient
+
+    shape, p = ("cyclic", 2), 2
+    reps = [x for x in TubeAmbient(2).carrier() if x.t <= length_bound]
+    gen_sets = [()] + [g for k in (1, 2) for g in combinations(reps, k)]
+    asked = []
+    sweep = oracle.middle_terms_of_sums
+
+    def record(shape_, a, b, p=2):
+        asked.append((tuple(sorted(a, key=str)), tuple(sorted(b, key=str))))
+        return sweep(shape_, a, b, p=p)
+
+    monkeypatch.setattr(oracle, "middle_terms_of_sums", record)
+    for gens in gen_sets:
+        asked.clear()
+        got = oracle.closure_fixpoint_bruteforce(shape, gens, length_bound, p)
+        ours = list(asked)
+        asked.clear()
+        assert got == _closure_fixpoint_reference(shape, gens, length_bound, p), gens
+        assert len(set(ours)) == len(ours)
+        assert ours == list(dict.fromkeys(asked)), gens
+
+
+def _middle_cache_digest():
+    rows = sorted(str((key, sorted(map(str, result)), needs, peak))
+                  for key, (result, needs, peak) in oracle._MIDDLE_CACHE.items())
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_closure_suite_cache_contents_and_sweep_state(monkeypatch):
+    """From empty caches, the tube-closure-t2 suite leaves the middle-term
+    cache it always has, and each sweep keeps only its pairs and an index."""
+    from stabcat import checks
+
+    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
+    monkeypatch.setattr(oracle, "_SWEEPS", {})
+    assert checks.run_suite("tube-closure-t2").ok
+    assert len(oracle._MIDDLE_CACHE) == 713
+    assert _middle_cache_digest() == ("d35569a5586abc682994f913e3810a20"
+                                      "02b11eb011a18a58c9af89ad97099c18")
+    assert oracle._SWEEPS
+    for state in oracle._SWEEPS.values():
+        assert type(state) is tuple and len(state) == 2
+        pairs, resume = state
+        assert type(pairs) is set
+        assert resume is None or type(resume) is int
+        for pair in pairs:
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(side) is tuple and all(type(d) is TubeIndec for d in side)
+                       for side in pair)

@@ -66,6 +66,20 @@ def test_torsion_class_counts():
         assert len(torsion_lattice(TubeAmbient(n))) == count
 
 
+def test_lattice_class_limit(monkeypatch):
+    """The lattice walk is refused once it has seen more than FINEST_LIMIT
+    classes, before any class is certified."""
+    from stabcat import stability
+    from stabcat.subcat import EnumerationBoundError
+
+    monkeypatch.setattr(stability, "FINEST_LIMIT", 100)
+    assert len(torsion_lattice(IntervalAmbient(4))) == 42
+    with pytest.raises(EnumerationBoundError) as exc:
+        torsion_lattice(IntervalAmbient(5))
+    assert str(exc.value) == ("an:5 has at least 101 torsion classes, "
+                              "more than the enumeration limit 100")
+
+
 def test_lattice_matches_brute_force():
     ambients = [IntervalAmbient(n) for n in range(1, 6)] + [TubeAmbient(n) for n in range(1, 5)]
     for amb in ambients:
