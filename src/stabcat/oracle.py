@@ -16,15 +16,16 @@ the submodules of each candidate E per dimension vector: the sweep records
 each pair of sub and quotient classes it passes, stops at the first match,
 and the next query with the same E and dimension vector, whatever its A and
 B, looks among the recorded pairs first and resumes where it stopped.
+Everything the oracle learns is kept in one memo per (shape, p) for the
+life of the process; `clear` forgets it all.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice, product
-from math import lcm
+from math import lcm, prod
 
 from . import gf
 from .intervals import IntervalModule, all_intervals
@@ -119,9 +120,6 @@ class QuiverRep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
-
 
 def zero_rep(shape, p) -> QuiverRep:
     return QuiverRep(shape, p, {v: 0 for v in vertices(shape)}, {})
@@ -145,18 +143,50 @@ def direct_sum(reps) -> QuiverRep:
     return QuiverRep(shape, p, dims, maps, check=False)
 
 
+# -- the memo -------------------------------------------------------------
+
+class _Memo:
+    """What the oracle has learned about one (shape, p): indecomposable
+    representations by descriptor, Hom tables by length, decompositions by
+    representation, candidate middle terms by dimension vector, submodule
+    sweeps by (E, dims) and middle-term answers by (A, B)."""
+
+    def __init__(self):
+        self.indecs, self.tables, self.decomposed = {}, {}, {}
+        self.candidates, self.sweeps, self.middle = {}, {}, {}
+
+
+# (shape, p) -> _Memo: the oracle's only memory, kept for the life of the
+# process so that a repeated query is answered from it
+_MEMO = {}
+
+
+def _memo(shape, p: int) -> _Memo:
+    return _MEMO.get((shape, p)) or _MEMO.setdefault((shape, p), _Memo())
+
+
+def clear() -> None:
+    """Forget everything the oracle has memoised."""
+    _MEMO.clear()
+
+
 # -- standard indecomposables -------------------------------------------
 
-@lru_cache(maxsize=None)
 def build_indec(shape, descriptor, p: int = 2) -> QuiverRep:
-    kind = shape[0]
-    if kind == "cyclic" and isinstance(descriptor, TubeIndec):
-        return _build_tube(descriptor, p)
-    if kind == "linear" and isinstance(descriptor, IntervalModule):
-        return _build_interval(descriptor, p)
-    if kind == "kronecker" and isinstance(descriptor, tuple):
-        return _build_kronecker(descriptor, p)
-    raise OracleError(f"descriptor {descriptor!r} does not fit shape {shape!r}")
+    indecs = _memo(shape, p).indecs
+    rep = indecs.get(descriptor)
+    if rep is None:
+        kind = shape[0]
+        if kind == "cyclic" and isinstance(descriptor, TubeIndec):
+            rep = _build_tube(descriptor, p)
+        elif kind == "linear" and isinstance(descriptor, IntervalModule):
+            rep = _build_interval(descriptor, p)
+        elif kind == "kronecker" and isinstance(descriptor, tuple):
+            rep = _build_kronecker(descriptor, p)
+        else:
+            raise OracleError(f"descriptor {descriptor!r} does not fit shape {shape!r}")
+        indecs[descriptor] = rep
+    return rep
 
 
 def _build_tube(x: TubeIndec, p: int) -> QuiverRep:
@@ -195,24 +225,16 @@ def _build_interval(x: IntervalModule, p: int) -> QuiverRep:
 def _build_kronecker(descriptor, p: int) -> QuiverRep:
     shape = ("kronecker",)
     kind = descriptor[0]
-    if kind == "P":
+    if kind in ("P", "I"):
         k = descriptor[1]
-        dims = {1: k - 1, 2: k}
-        u = gf.zeros(k, k - 1)
-        v = gf.zeros(k, k - 1)
+        u, v = gf.zeros(k, k - 1), gf.zeros(k, k - 1)
         for i in range(k - 1):
-            u[i][i] = 1
-            v[i + 1][i] = 1
-        return QuiverRep(shape, p, dims, {"u": u, "v": v})
-    if kind == "I":
-        k = descriptor[1]
-        dims = {1: k, 2: k - 1}
-        u = gf.zeros(k - 1, k)
-        v = gf.zeros(k - 1, k)
-        for i in range(k - 1):
-            u[i][i] = 1
-            v[i][i + 1] = 1
-        return QuiverRep(shape, p, dims, {"u": u, "v": v})
+            u[i][i] = v[i + 1][i] = 1
+        if kind == "P":
+            return QuiverRep(shape, p, {1: k - 1, 2: k}, {"u": u, "v": v})
+        # the injective I_k has the transposed maps of the projective P_k
+        return QuiverRep(shape, p, {1: k, 2: k - 1},
+                         {"u": gf.transpose(u, k - 1), "v": gf.transpose(v, k - 1)})
     if kind == "R":
         x, d = descriptor[1], descriptor[2]
         dims = {1: d, 2: d}
@@ -309,29 +331,35 @@ def _universe(shape, max_len: int):
     raise UnsupportedShapeError(f"decomposition not supported for shape {shape!r}")
 
 
-@lru_cache(maxsize=None)
-def _hom_table(shape, p: int, max_len: int):
-    descs = _universe(shape, max_len)
-    reps = {d: build_indec(shape, d, p) for d in descs}
-    table = {}
-    for d1 in descs:
-        for d2 in descs:
-            table[(d1, d2)] = hom_dim(reps[d1], reps[d2])
-    return tuple(descs), table
+class _HomTable:
+    """The indecomposables of length <= some bound for one (shape, p), by
+    position i: descs[i], pos[descs[i]] = i, reps[i] its representation,
+    hom[i][j] = dim Hom(descs[i], descs[j]), cols[j][i] = hom[i][j], and
+    (inv, den) = `_invert(hom)` for decomposition by fingerprint."""
+
+    def __init__(self, shape, p: int, length: int):
+        self.descs = tuple(_universe(shape, length))
+        self.pos = {d: i for i, d in enumerate(self.descs)}
+        self.reps = tuple(build_indec(shape, d, p) for d in self.descs)
+        self.hom = tuple(tuple(hom_dim(r1, r2) for r2 in self.reps) for r1 in self.reps)
+        self.cols = tuple(zip(*self.hom))
+        self.inv, self.den = _invert(self.hom)
 
 
-@lru_cache(maxsize=None)
-def _fingerprint_inverse(shape, p: int, max_len: int):
-    """(inv, den) with inv / den the inverse of the Hom-dimension table
-    A[i][j] = dim Hom(descs[i], descs[j]) of `_hom_table`: inv is an integer
-    matrix and den a positive integer.  A module with multiplicities m has
-    the fingerprint b = A m, so m = inv b / den.  Raises OracleError if A is
-    singular."""
-    descs, table = _hom_table(shape, p, max_len)
-    n = len(descs)
+def _hom_table(shape, p: int, length: int) -> _HomTable:
+    tables = _memo(shape, p).tables
+    return tables.get(length) or tables.setdefault(length, _HomTable(shape, p, length))
+
+
+def _invert(matrix):
+    """(inv, den) with inv / den the inverse of the square integer matrix A:
+    inv is an integer matrix and den a positive integer.  For a Hom table A,
+    a module with multiplicities m has the fingerprint b = A m, so
+    m = inv b / den.  Raises OracleError if A is singular."""
+    n = len(matrix)
     # exact Gauss-Jordan elimination of [A | I]
-    a = [[Fraction(table[(descs[i], descs[j])]) for j in range(n)]
-         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -347,10 +375,9 @@ def _fingerprint_inverse(shape, p: int, max_len: int):
     return tuple(tuple(int(x * den) for x in row[n:]) for row in a), den
 
 
-def _solve_fingerprint(descs, inv, den, fingerprint):
-    """Multiplicities m = inv b / den of the fingerprint b, checked to be
-    non-negative integers."""
-    b = [fingerprint[d] for d in descs]
+def _solve_fingerprint(descs, inv, den, b):
+    """Multiplicities m = inv b / den of the fingerprint b (by position),
+    checked to be non-negative integers, as a dict descriptor -> m."""
     mults = {}
     for d, row in zip(descs, inv):
         num = sum(x * y for x, y in zip(row, b))
@@ -361,74 +388,66 @@ def _solve_fingerprint(descs, inv, den, fingerprint):
     return mults
 
 
-_DECOMPOSE_CACHE = {}
-
-
 def decompose(r: QuiverRep):
     """Krull-Schmidt decomposition as a sorted descriptor tuple."""
-    if r.is_zero():
+    if r.total_dim() == 0:
         return ()
-    cache_key = (r.shape, r.p, tuple(sorted(r.dims.items())),
-                 tuple(sorted((k, tuple(map(tuple, m))) for k, m in r.maps.items())))
-    hit = _DECOMPOSE_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    max_len = r.total_dim()
-    descs, _ = _hom_table(r.shape, r.p, max_len)
-    inv, den = _fingerprint_inverse(r.shape, r.p, max_len)
-    reps = {d: build_indec(r.shape, d, r.p) for d in descs}
-    fingerprint = {d: hom_dim(reps[d], r) for d in descs}
-    mults = _solve_fingerprint(descs, inv, den, fingerprint)
-    out = []
-    for d, m in mults.items():
-        out.extend([d] * m)
-    out = tuple(sorted(out, key=str))
-    check_dims = {v: 0 for v in vertices(r.shape)}
-    for d in out:
-        for v, dim in reps[d].dims.items():
-            check_dims[v] += dim
-    if check_dims != r.dims:
-        raise OracleError("decomposition does not reproduce the dimension vector")
-    _DECOMPOSE_CACHE[cache_key] = out
-    return out
+    decomposed = _memo(r.shape, r.p).decomposed
+    key = (tuple(sorted(r.dims.items())),
+           tuple(sorted((k, tuple(map(tuple, m))) for k, m in r.maps.items())))
+    if key not in decomposed:
+        table = _hom_table(r.shape, r.p, r.total_dim())
+        mults = _solve_fingerprint(table.descs, table.inv, table.den,
+                                   [hom_dim(x, r) for x in table.reps])
+        out = tuple(sorted((d for d, m in mults.items() for _ in range(m)), key=str))
+        if {v: sum(table.reps[table.pos[d]].dims[v] for d in out) for v in r.dims} != r.dims:
+            raise OracleError("decomposition does not reproduce the dimension vector")
+        decomposed[key] = out
+    return decomposed[key]
 
 
 # -- brute-force extensions ----------------------------------------------
 
-def _hom_profile(descs, table, multiset):
+def _hom_profile(table: _HomTable, idx):
     """(into, out) with into[i] = [X_i, M] and out[i] = [M, X_i], where M is
-    the direct sum of `multiset` and X_i = descs[i] (Hom dimensions)."""
-    into = tuple(sum(table[(x, d)] for d in multiset) for x in descs)
-    out = tuple(sum(table[(d, x)] for d in multiset) for x in descs)
+    the direct sum of the table entries at positions idx (with repeats) and
+    X_i is the entry at i (Hom dimensions)."""
+    into = tuple(map(sum, zip(*(table.cols[j] for j in idx))))
+    out = tuple(map(sum, zip(*(table.hom[j] for j in idx))))
     return into, out
 
 
-@lru_cache(maxsize=None)
-def _candidates(shape, p, target, max_len):
+def _multisets(weights, capacity):
+    """(acc, left) for every nonempty multiset acc of positions into
+    `weights`, as a non-decreasing tuple, whose weight vectors sum to at most
+    the `capacity` vector, with left the capacity that remains.
+
+    Depth-first in position order; a child never takes an earlier position,
+    so each multiset comes out once."""
+    stack = [(0, capacity, ())]
+    while stack:
+        start, left, acc = stack.pop()
+        if acc:
+            yield acc, left
+        children = []
+        for i in range(start, len(weights)):
+            if all(x <= r for x, r in zip(weights[i], left)):
+                children.append((i, tuple(r - x for r, x in zip(left, weights[i])), acc + (i,)))
+        stack.extend(reversed(children))
+
+
+def _candidates(shape, p, target):
     """Every descriptor multiset E whose dimension vectors sum to `target`
     (a sorted (vertex, dim) tuple), each as (E, into, out) with the Hom
-    profile of `_hom_profile` over `_hom_table(shape, p, max_len)`."""
-    descs, table = _hom_table(shape, p, max_len)
-    verts = [v for v, _ in target]
-    dims_of = {d: tuple(build_indec(shape, d, p).dims[v] for v in verts) for d in descs}
-    pool = [d for d in descs if all(x <= t for x, (_, t) in zip(dims_of[d], target))]
-    out = []
-    # depth-first in pool order; a child never takes an earlier pool entry,
-    # so each E comes out once
-    stack = [(0, tuple(t for _, t in target), ())]
-    while stack:
-        start, remaining, acc = stack.pop()
-        if not any(remaining):
-            e = tuple(sorted(acc, key=str))
-            out.append((e,) + _hom_profile(descs, table, e))
-            continue
-        children = []
-        for i in range(start, len(pool)):
-            dd = dims_of[pool[i]]
-            if all(x <= r for x, r in zip(dd, remaining)):
-                children.append((i, tuple(r - x for r, x in zip(remaining, dd)), acc + (pool[i],)))
-        stack.extend(reversed(children))
-    return tuple(out)
+    profile of E over the table of length sum(target)."""
+    candidates = _memo(shape, p).candidates
+    if target not in candidates:
+        table = _hom_table(shape, p, sum(t for _, t in target))
+        weights = [tuple(rep.dims[v] for v, _ in target) for rep in table.reps]
+        candidates[target] = tuple(
+            (tuple(sorted((table.descs[i] for i in acc), key=str)),) + _hom_profile(table, acc)
+            for acc, left in _multisets(weights, tuple(t for _, t in target)) if not any(left))
+    return candidates[target]
 
 
 def _hom_bounds_admit(e, a, b, a_idx, b_idx) -> bool:
@@ -482,14 +501,8 @@ def _assemble(basis, coeffs, verts, p):
 
 
 def _is_injective(f, r1, p):
-    for v, m in f.items():
-        if m is None:
-            if r1.dims[v] > 0:
-                return False
-            continue
-        if gf.rank(m, p) < r1.dims[v]:
-            return False
-    return True
+    return all(r1.dims[v] == 0 if m is None else gf.rank(m, p) >= r1.dims[v]
+               for v, m in f.items())
 
 
 def cokernel_rep(f, r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
@@ -523,9 +536,8 @@ def cokernel_rep(f, r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
 
 
 def _gauss_count(d: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of GF(p)^d."""
-    if k < 0 or k > d:
-        return 0
+    """Number of k-dimensional subspaces of GF(p)^d, for k >= 0 (0 for k > d:
+    the factor p^0 - 1 comes up)."""
     num = den = 1
     for i in range(k):
         num *= p ** (d - i) - 1
@@ -574,23 +586,19 @@ def _sub_and_quotient(e_rep: QuiverRep, bases):
     return sub_rep, cokernel_rep(inclusion, sub_rep, e_rep)
 
 
-# (shape, p, E, dims) -> (class pairs (decompose(sub), decompose(E/sub)) seen
-# so far, index of the next subspace combo or None once the sweep has ended)
-_SWEEPS = {}
-
-
 def _has_sub_quotient(shape, p: int, e_multiset, dims_query, pair) -> bool:
     """Whether some submodule S of ⊕E with the given dimension vector has
     (decompose(S), decompose(E/S)) == pair.
 
     One sweep over the submodules of ⊕E serves every query with the same
-    (shape, p, E, dims): a query first looks among the class pairs seen so
-    far, and only on a miss rebuilds ⊕E and resumes the sweep where the last
-    query stopped, recording each pair it passes, until it meets `pair` or
-    the sweep ends.  Between queries only the pairs and the resume index are
-    kept."""
-    key = (shape, p, e_multiset, dims_query)
-    seen, start = _SWEEPS.get(key) or (set(), 0)
+    (shape, p, E, dims).  Between queries the memo's `sweeps` keeps only the
+    class pairs seen so far and the index of the next subspace combo (None
+    once the sweep has ended).  A query looks among the pairs first, and
+    only on a miss rebuilds ⊕E and resumes the sweep, recording each pair
+    it passes, until it meets `pair` or the sweep ends."""
+    sweeps = _memo(shape, p).sweeps
+    key = (e_multiset, dims_query)
+    seen, start = sweeps.get(key) or (set(), 0)
     if pair in seen or start is None:
         return pair in seen
     e_rep = direct_sum([build_indec(shape, d, p) for d in e_multiset])
@@ -599,15 +607,12 @@ def _has_sub_quotient(shape, p: int, e_multiset, dims_query, pair) -> bool:
         classes = (decompose(sub_rep), decompose(coker_rep))
         seen.add(classes)
         if classes == pair:
-            _SWEEPS[key] = seen, index + 1
+            sweeps[key] = seen, index + 1
             return True
-    _SWEEPS[key] = seen, None
+    sweeps[key] = seen, None
     return False
 
 
-# (shape, p, A, B) -> (middle terms, needs, largest need or 0); the needs are
-# (count, unit, E), in sweep order, for each E that reached linear algebra
-_MIDDLE_CACHE = {}
 _NEEDS = {"maps": "Hom enumeration", "tuples": "submodule enumeration"}
 
 
@@ -638,13 +643,16 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     and quotient ⊕B, and a later query first looks among the class pairs
     already passed.  The split multiset A + B is excluded by definition.
     The budget (`STABCAT_BUDGET`) bounds the maps or submodule tuples of
-    each candidate, and holds for cached answers too.
+    each candidate, and holds for cached answers too: the memo's `middle`
+    maps (A, B) to the middle terms, the needs (count, unit, E), in sweep
+    order, of each E that reached linear algebra, and the largest need or 0.
     """
     a_multiset = tuple(sorted(a_multiset, key=str))
     b_multiset = tuple(sorted(b_multiset, key=str))
-    key = (shape, p, a_multiset, b_multiset)
-    if key in _MIDDLE_CACHE:
-        result, needs, peak = _MIDDLE_CACHE[key]
+    middle = _memo(shape, p).middle
+    hit = middle.get((a_multiset, b_multiset))
+    if hit is not None:
+        result, needs, peak = hit
         if peak and peak > budget_limit():
             _check_budget(needs, a_multiset, b_multiset)
         return result
@@ -652,19 +660,15 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     b_rep = direct_sum([build_indec(shape, d, p) for d in b_multiset])
     verts = vertices(shape)
     target = tuple((v, a_rep.dims[v] + b_rep.dims[v]) for v in verts)
-    total_len = a_rep.total_dim() + b_rep.total_dim()
     split = tuple(sorted(a_multiset + b_multiset, key=str))
     dims_query = tuple(sorted(a_rep.dims.items()))
     e_dims = dict(target)  # every candidate E has this dimension vector
     by_maps = len(a_multiset) == 1
-    descs, table = _hom_table(shape, p, total_len)
-    pos = {d: i for i, d in enumerate(descs)}
-    a_idx = [pos[d] for d in a_multiset]
-    b_idx = [pos[d] for d in b_multiset]
-    a_prof = _hom_profile(descs, table, a_multiset)
-    b_prof = _hom_profile(descs, table, b_multiset)
+    table = _hom_table(shape, p, a_rep.total_dim() + b_rep.total_dim())
+    a_idx, b_idx = ([table.pos[d] for d in ms] for ms in (a_multiset, b_multiset))
+    a_prof, b_prof = _hom_profile(table, a_idx), _hom_profile(table, b_idx)
     found, needs = set(), []
-    for cand, into, out in _candidates(shape, p, target, total_len):
+    for cand, into, out in _candidates(shape, p, target):
         if cand == split or not _hom_bounds_admit((into, out), a_prof, b_prof, a_idx, b_idx):
             continue
         if by_maps:
@@ -684,41 +688,19 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
                     found.add(cand)
                     break
         else:
-            n_tuples = 1
-            for v, k in dims_query:
-                n_tuples *= _gauss_count(e_dims[v], k, p)
+            n_tuples = prod(_gauss_count(e_dims[v], k, p) for v, k in dims_query)
             needs.append((n_tuples, "tuples", cand))
             _check_budget(needs[-1:], a_multiset, b_multiset)
             if _has_sub_quotient(shape, p, cand, dims_query, (a_multiset, b_multiset)):
                 found.add(cand)
     result = frozenset(found)
-    _MIDDLE_CACHE[key] = result, tuple(needs), max((n for n, _, _ in needs), default=0)
+    middle[a_multiset, b_multiset] = result, tuple(needs), max((n for n, _, _ in needs), default=0)
     return result
 
 
 def middle_terms_bruteforce(shape, a, b, p: int = 2):
     """Middle terms of non-split extensions of the indecomposable b by a."""
     return middle_terms_of_sums(shape, (a,), (b,), p=p)
-
-
-def _multisets_up_to_length(shape, p, pool, max_total):
-    """Every nonempty multiset over `pool` of total length <= max_total."""
-    pool = sorted(set(pool), key=str)
-    lengths = [build_indec(shape, d, p).total_dim() for d in pool]
-    out = []
-    # depth-first in pool order; a child never takes an earlier pool entry,
-    # so each multiset comes out once
-    stack = [(0, 0, ())]
-    while stack:
-        start, total, acc = stack.pop()
-        if acc:
-            out.append(acc)
-        children = []
-        for i in range(start, len(pool)):
-            if total + lengths[i] <= max_total:
-                children.append((i, total + lengths[i], acc + (pool[i],)))
-        stack.extend(reversed(children))
-    return out
 
 
 def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2):
@@ -735,9 +717,11 @@ def closure_fixpoint_bruteforce(shape, gens, length_bound: int = 6, p: int = 2):
     added = set(current)
     while added:
         members = sorted(current, key=str)
-        sums = _multisets_up_to_length(shape, p, members, length_bound - 1)
-        rows = [(ms, sum(build_indec(shape, d, p).total_dim() for d in ms),
-                 not added.isdisjoint(ms)) for ms in sums]
+        lengths = [(build_indec(shape, d, p).total_dim(),) for d in members]
+        rows = []  # (end terms of total length < length_bound, length, new?)
+        for acc, (left,) in _multisets(lengths, (length_bound - 1,)):
+            ms = tuple(members[i] for i in acc)
+            rows.append((ms, length_bound - 1 - left, not added.isdisjoint(ms)))
         added = set()
         for a_ms, a_len, a_new in rows:
             for b_ms, b_len, b_new in rows:

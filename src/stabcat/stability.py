@@ -19,9 +19,9 @@ directly.
 
 Valid data are the chains 0 = T_0 < ... < T_k = carrier of torsion classes,
 with pieces T_{i+1} & T_i^perp, and the finest data are the maximal chains.
-`enumerate_valid` and `enumerate_finest` read them off `torsion_lattice`,
-which certifies each class and each cover once; no enumerated datum goes
-through `validate` or `is_finest`, which the tests keep as their oracle.
+`enumerate_valid` and `enumerate_finest` count the chains of the walked
+torsion-class lattice, then certify it once per class and cover; no datum
+goes through `validate` or `is_finest`, which the tests keep as oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from types import MappingProxyType
 
 from .phases import ExplicitOrder, Phase
 from .subcat import EnumerationBoundError, canon_members, closure, ctx_for, is_closed
-from .torsion import TorsionPair, torsion_lattice
+from .torsion import TorsionPair, certify_lattice, lattice_walk, torsion_lattice
 
 _HN_COMBO_CAP = 512
 FINEST_LIMIT = 20000  # data `enumerate_finest` or `enumerate_valid` builds at most
@@ -324,12 +324,15 @@ def validate(ambient, sd: StabilityData) -> ValidationReport:
             if m in seen and seen[m] != ph:
                 report.piece_issues.append(f"{m} lies in phases {seen[m]} and {ph}")
             seen[m] = ph
+    ctx = ctx_for(ambient)
+    members = {ph: canon_members(sd.pieces[ph]) for ph in phases}
     for i, hi in enumerate(phases):
         for lo in phases[:i]:
-            for x in canon_members(sd.pieces[hi]):
-                for y in canon_members(sd.pieces[lo]):
-                    if ambient.hom_nonzero(x, y):
-                        report.hom_violations.append((hi, x, lo, y))
+            lower = ctx.to_mask(members[lo])
+            for x in members[hi]:
+                if row := ctx.hom_to[ctx.index[x]] & lower:
+                    report.hom_violations.extend((hi, x, lo, y) for y in members[lo]
+                                                 if row >> ctx.index[y] & 1)
     if not report.hom_violations and not report.piece_issues:
         for x in ambient.hn_scope():
             if not search.chains(x):
@@ -530,17 +533,18 @@ def _valid_data_over_pieces(ambient, pieces_pool):
     return results
 
 
-def _chain_data(ambient, successors: dict, what: str) -> list:
+def _chain_data(ambient, covers: dict, successors: dict, what: str) -> list:
     """The datum of every chain from the bottom class (the first key) to the
     carrier along `successors`: the step T < U gives the piece U & T^perp,
-    and the last step phase 1.  `torsion_lattice` certifies every such
-    datum, so none is checked here.  Data share one piece set per step.
-    Over FINEST_LIMIT chains raise EnumerationBoundError, naming the ambient,
-    the count of `what` and the limit, before any datum is built."""
+    and the last step phase 1.  Over FINEST_LIMIT chains raise
+    EnumerationBoundError (naming the ambient, the count of `what` and the
+    limit) before the walked lattice `covers` is certified; the certificate
+    makes every datum valid.  Data share one piece set per step."""
     count = _count_chains(successors)
     if count > FINEST_LIMIT:
         raise EnumerationBoundError(f"{ambient.spec_string()} has {count} {what}, "
                                     f"more than the enumeration limit {FINEST_LIMIT}")
+    certify_lattice(ambient, covers)
     ctx = ctx_for(ambient)
     steps = {t: [(u, ctx.to_set(u & ctx.right_perp_mask(t))) for u in reversed(us)]
              for t, us in successors.items()}
@@ -563,9 +567,9 @@ def enumerate_valid(ambient) -> list:
     from each class to every strictly larger one.  The lattice certificate
     makes each such datum valid; none is validated here.  Over FINEST_LIMIT
     chains raise EnumerationBoundError at once."""
-    covers = torsion_lattice(ambient)
+    covers = lattice_walk(ambient)
     larger = {t: tuple(u for u in covers if u != t and t & ~u == 0) for t in covers}
-    out = _chain_data(ambient, larger, "valid data")
+    out = _chain_data(ambient, covers, larger, "valid data")
     out.sort(key=_sequence_key)
     return out
 
@@ -596,10 +600,11 @@ def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
 def _count_chains(successors: dict) -> int:
     """Chains from the bottom class (the first key) to the carrier along
     `successors`, by a DP from the top: the maximal chains when they are the
-    covers, every chain when they are all strictly larger classes."""
+    covers, every chain when they are all strictly larger classes.  A step to
+    a class no larger (a walk whose certificate fails) counts 0."""
     count = {}
     for t in sorted(successors, key=lambda t: -t.bit_count()):
-        count[t] = sum(count[u] for u in successors[t]) if successors[t] else 1
+        count[t] = sum(count.get(u, 0) for u in successors[t]) if successors[t] else 1
     return count[next(iter(successors))]
 
 
@@ -620,7 +625,8 @@ def enumerate_finest(ambient, upto_tau: bool = False) -> list:
     is validated: `torsion_lattice` certifies each class and cover once.
     Over FINEST_LIMIT maximal chains raise EnumerationBoundError at once.
     """
-    finest = _chain_data(ambient, torsion_lattice(ambient), "finest data")
+    covers = lattice_walk(ambient)
+    finest = _chain_data(ambient, covers, covers, "finest data")
     finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
     if not upto_tau:
         return finest

@@ -121,6 +121,12 @@ def torsion_lattice(ambient) -> dict:
     Over FINEST_LIMIT classes the walk raises EnumerationBoundError at once,
     naming the ambient, the count reached and the limit.
     """
+    return certify_lattice(ambient, lattice_walk(ambient))
+
+
+def lattice_walk(ambient) -> dict:
+    """The covers of `torsion_lattice`, walked but not certified, so that a
+    caller can count chains and refuse before it pays for the certificate."""
     from . import stability
 
     check_enumerable(ambient)
@@ -128,9 +134,6 @@ def torsion_lattice(ambient) -> dict:
 
     def generated(mask):
         return ctx.left_perp_mask(ctx.right_perp_mask(mask))
-
-    def names(mask):
-        return list(map(str, canon_members(ctx.to_set(mask))))
 
     bottom = generated(0)
     covers, seen, frontier = {}, {bottom}, [bottom]
@@ -149,6 +152,17 @@ def torsion_lattice(ambient) -> dict:
                             f"{ambient.spec_string()} has at least {len(seen)} torsion classes, "
                             f"more than the enumeration limit {stability.FINEST_LIMIT}")
         frontier = nxt
+    return covers
+
+
+def certify_lattice(ambient, covers: dict) -> dict:
+    """`covers` from `lattice_walk`, once each class and cover is checked as
+    `torsion_lattice` states; a failure raises TorsionError naming it."""
+    ctx = ctx_for(ambient)
+
+    def names(mask):
+        return list(map(str, canon_members(ctx.to_set(mask))))
+
     for t in covers:
         perp, members = ctx.right_perp_mask(t), ctx.to_set(t)
         if not (ctx.is_closed_mask(t) and ctx.is_closed_mask(perp)

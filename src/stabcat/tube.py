@@ -74,11 +74,6 @@ def tau(x: TubeIndec, k: int = 1) -> TubeIndec:
     return TubeIndec(x.n, (x.j - k) % x.n, x.t)
 
 
-def subobject_chain(x: TubeIndec) -> list:
-    """The chain 0 ⊂ S_{j-t+1}^(1) ⊂ ... ⊂ S_j^(t) of all subobjects."""
-    return [TubeIndec(x.n, (x.j - x.t + r) % x.n, r) for r in range(1, x.t + 1)]
-
-
 def chain_splits(x: TubeIndec) -> list:
     """Proper (subobject, quotient) pairs along the subobject chain."""
     out = []

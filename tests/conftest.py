@@ -2,6 +2,7 @@
 
 import pytest
 
+from stabcat import oracle
 from stabcat.phases import ExplicitOrder
 from stabcat.stability import StabilityData
 from stabcat.subcat import closure
@@ -20,3 +21,10 @@ def _merge_adjacent(ambient, sd, i):
 @pytest.fixture
 def merge_adjacent():
     return _merge_adjacent
+
+
+@pytest.fixture
+def empty_oracle(monkeypatch):
+    """An empty oracle memo for one test; the process-wide memo, and all it
+    has learned, is restored afterwards."""
+    monkeypatch.setattr(oracle, "_MEMO", {})

@@ -103,20 +103,19 @@ def test_budget_rejection(monkeypatch):
         oracle.middle_terms_of_sums(("cyclic", 1), (s1, s1), (s1,), p=2)
 
 
-def test_budget_holds_on_cache_hits(monkeypatch):
+def test_budget_holds_on_cache_hits(monkeypatch, empty_oracle):
     """A cached answer under a smaller budget raises exactly what a fresh
     sweep raises: the first candidate, in sweep order, above the budget."""
     s2, s1 = TubeIndec(1, 0, 2), TubeIndec(1, 0, 1)
     queries = [((s2,), (s2,)), ((s1, s1), (s1,))]
     fresh = []
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_MIDDLE_CACHE", {})
         m.setenv("STABCAT_BUDGET", "1")
         for a, b in queries:
             with pytest.raises(oracle.BudgetExceededError) as exc:
                 oracle.middle_terms_of_sums(("cyclic", 1), a, b, p=2)
             fresh.append(str(exc.value))
-    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
+    oracle.clear()
     warm = [oracle.middle_terms_of_sums(("cyclic", 1), a, b, p=2) for a, b in queries]
     assert all(warm)
     monkeypatch.setenv("STABCAT_BUDGET", "1")
@@ -140,7 +139,7 @@ def test_submodule_path_agrees_with_map_path():
                            for v in oracle.vertices(shape))
             split = tuple(sorted((a, b), key=str))
             by_subs = set()
-            for cand, _, _ in oracle._candidates(shape, 2, target, a.t + b.t):
+            for cand, _, _ in oracle._candidates(shape, 2, target):
                 if cand == split:
                     continue
                 if oracle._has_sub_quotient(shape, 2, cand, dims_query, ((a,), (b,))):
@@ -154,9 +153,9 @@ def test_candidates_cover_every_multiset_with_exact_hom_profiles():
 
     shape, p, max_len = ("cyclic", 2), 3, 4
     target = ((0, 2), (1, 2))
-    descs, _ = oracle._hom_table(shape, p, max_len)
-    got = oracle._candidates(shape, p, target, max_len)
-    assert got is oracle._candidates(shape, p, target, max_len)
+    descs = oracle._hom_table(shape, p, max_len).descs
+    got = oracle._candidates(shape, p, target)
+    assert got is oracle._candidates(shape, p, target)
     expected = set()
     for k in range(1, 5):
         for ms in combinations_with_replacement(descs, k):
@@ -176,11 +175,11 @@ def test_candidates_cover_every_multiset_with_exact_hom_profiles():
 
 def _middle_terms_unbounded(monkeypatch, queries):
     """middle_terms_of_sums on each (shape, a, b, p) with every candidate
-    admitted past the Hom bounds and an empty middle-term cache."""
+    admitted past the Hom bounds, from an emptied oracle memo."""
     admitted = []
+    oracle.clear()
     with monkeypatch.context() as m:
         m.setattr(oracle, "_hom_bounds_admit", lambda *args: admitted.append(args) or True)
-        m.setattr(oracle, "_MIDDLE_CACHE", {})
         out = [oracle.middle_terms_of_sums(shape, a, b, p=p) for shape, a, b, p in queries]
     assert admitted
     return out
@@ -193,7 +192,7 @@ def _assert_bounds_agree(monkeypatch, queries):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_hom_bounds_agree_with_unbounded_sweep_on_tube_pairs(monkeypatch, p):
+def test_hom_bounds_agree_with_unbounded_sweep_on_tube_pairs(monkeypatch, empty_oracle, p):
     queries = []
     for n in (1, 2, 3):
         objs = [TubeIndec(n, j, t) for j in range(n) for t in range(1, 5)]
@@ -202,7 +201,7 @@ def test_hom_bounds_agree_with_unbounded_sweep_on_tube_pairs(monkeypatch, p):
     _assert_bounds_agree(monkeypatch, queries)
 
 
-def test_hom_bounds_agree_with_unbounded_sweep_on_interval_pairs(monkeypatch):
+def test_hom_bounds_agree_with_unbounded_sweep_on_interval_pairs(monkeypatch, empty_oracle):
     from stabcat.intervals import all_intervals
 
     queries = [(("linear", n), (a,), (b,), 2)
@@ -211,7 +210,7 @@ def test_hom_bounds_agree_with_unbounded_sweep_on_interval_pairs(monkeypatch):
     _assert_bounds_agree(monkeypatch, queries)
 
 
-def test_hom_bounds_agree_with_unbounded_sweep_on_t2_closure_queries(monkeypatch):
+def test_hom_bounds_agree_with_unbounded_sweep_on_t2_closure_queries(monkeypatch, empty_oracle):
     # the decomposable-end queries that one closure sweep over T_2 makes
     shape = ("cyclic", 2)
     seen = []
@@ -229,7 +228,7 @@ def test_hom_bounds_agree_with_unbounded_sweep_on_t2_closure_queries(monkeypatch
     _assert_bounds_agree(monkeypatch, queries)
 
 
-def test_hom_bounds_prune_before_linear_algebra(monkeypatch):
+def test_hom_bounds_prune_before_linear_algebra(monkeypatch, empty_oracle):
     shape, s2 = ("cyclic", 1), TubeIndec(1, 0, 2)
     calls = []
     hom_basis = oracle.hom_basis
@@ -239,7 +238,6 @@ def test_hom_bounds_prune_before_linear_algebra(monkeypatch):
         return hom_basis(r1, r2)
 
     monkeypatch.setattr(oracle, "hom_basis", counting)
-    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
     got = oracle.middle_terms_bruteforce(shape, s2, s2)
     # S^(2)+S^(1)+S^(1) and S^(1)^4 have too large a socle: [S^(1), E] > [S^(1), A] + [S^(1), B]
     assert len(calls) == 2
@@ -275,9 +273,9 @@ def test_rep_map_shape_checked_in_both_modes(check):
         oracle.QuiverRep(("linear", 2), 2, {1: 1, 2: 2}, {("l", 1): [[1]]}, check=check)
 
 
-def test_subobject_chain_matches_submodule_lattice():
-    # every subrepresentation of a tube segment lies on the stated chain
-    from stabcat.tube import subobject_chain
+def test_subobject_chain_matches_submodule_lattice(empty_oracle):
+    # every subrepresentation of a tube segment lies on its chain of subobjects
+    from stabcat.tube import chain_splits
 
     shape, x = ("cyclic", 2), TubeIndec(2, 0, 3)
     rep = oracle.build_indec(shape, x, 2)
@@ -286,11 +284,11 @@ def test_subobject_chain_matches_submodule_lattice():
         for d1 in range(rep.dims[1] + 1):
             dims_query = ((0, d0), (1, d1))
             assert not oracle._has_sub_quotient(shape, 2, (x,), dims_query, None)
-            pairs, resume = oracle._SWEEPS[(shape, 2, (x,), dims_query)]
+            pairs, resume = oracle._MEMO[shape, 2].sweeps[(x,), dims_query]
             assert resume is None
             subs |= {sub for sub, _ in pairs if sub}
     indecomposable_subs = {ds[0] for ds in subs if len(ds) == 1}
-    assert indecomposable_subs == set(subobject_chain(x))
+    assert indecomposable_subs == set([s for s, _ in chain_splits(x)] + [x])
 
 
 def test_gf_linear_algebra():
@@ -332,13 +330,14 @@ def test_package_does_not_import_numpy():
 
 
 def test_multisets_up_to_length_leaves_no_cycle():
-    """With the cyclic collector off, dropping the result of one walk leaves
-    nothing for a full collection: the walk builds no reference cycle."""
-    pool = [TubeIndec(2, j, t) for j in range(2) for t in range(1, 4)]
+    """With the cyclic collector off, dropping the result of one walk (the
+    multisets of total length <= 5 over the six T_2 segments of length <= 3)
+    leaves nothing for a full collection: the walk builds no reference cycle."""
+    lengths = [(t,) for _ in range(2) for t in range(1, 4)]
     gc.collect()
     gc.disable()
     try:
-        out = oracle._multisets_up_to_length(("cyclic", 2), 2, pool, 5)
+        out = list(oracle._multisets(lengths, (5,)))
         assert len(out) == 65
         del out
         assert gc.collect() == 0
@@ -386,7 +385,7 @@ def _sub_quotient_classes_reference(shape, p, e_multiset, dims_query):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, p):
+def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, empty_oracle, p):
     """Every submodule query of one T_2 closure sweep, from empty caches,
     answers membership in the full class set; driven to its end, each sweep
     has seen exactly that set and passed each submodule once."""
@@ -404,8 +403,6 @@ def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, p):
             visits.setdefault(current[0], []).append(index)
             yield index, bases
 
-    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
-    monkeypatch.setattr(oracle, "_SWEEPS", {})
     monkeypatch.setattr(oracle, "_has_sub_quotient", record)
     monkeypatch.setattr(oracle, "_submodules_with_dims", visit)
     oracle.closure_fixpoint_bruteforce(shape, [TubeIndec(2, 0, 1), TubeIndec(2, 1, 1)], 5, p)
@@ -413,17 +410,28 @@ def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, p):
     # the sweeps share work: some queries resume a sweep another query began,
     # and some sweeps end early
     assert 100 <= len(keys) < len(queries)
-    assert any(resume is not None for _, resume in oracle._SWEEPS.values())
+    sweeps = oracle._MEMO[shape, p].sweeps
+    assert any(resume is not None for _, resume in sweeps.values())
     reference = {key: _sub_quotient_classes_reference(*key) for key in keys}
     for args, got in queries:
         assert got == (args[4] in reference[args[:4]]), args
     for key in keys:
         assert not oracle._has_sub_quotient(*key, None)
-        assert oracle._SWEEPS[key] == (set(reference[key]), None), key
+        assert sweeps[key[2:]] == (set(reference[key]), None), key
         e_rep = oracle.direct_sum([oracle.build_indec(shape, d, p) for d in key[2]])
         indices = visits.get(key, [])
         assert indices == sorted(set(indices)), key
         assert len(indices) == len(_submodules_reference(e_rep, dict(key[3]))), key
+
+
+def _sums_up_to(members, lengths, max_total, start=0, acc=(), total=0):
+    """(multiset, total length) for every nonempty multiset over `members`
+    of total length <= max_total, depth-first in member order."""
+    for i in range(start, len(members)):
+        if total + lengths[i] <= max_total:
+            yield acc + (members[i],), total + lengths[i]
+            yield from _sums_up_to(members, lengths, max_total, i, acc + (members[i],),
+                                   total + lengths[i])
 
 
 def _closure_fixpoint_reference(shape, gens, length_bound, p):
@@ -432,10 +440,10 @@ def _closure_fixpoint_reference(shape, gens, length_bound, p):
     while True:
         added = False
         members = sorted(current, key=str)
-        sums = oracle._multisets_up_to_length(shape, p, members, length_bound - 1)
-        lengths = [sum(oracle.build_indec(shape, d, p).total_dim() for d in ms) for ms in sums]
-        for a_ms, a_len in zip(sums, lengths):
-            for b_ms, b_len in zip(sums, lengths):
+        lengths = [oracle.build_indec(shape, d, p).total_dim() for d in members]
+        sums = list(_sums_up_to(members, lengths, length_bound - 1))
+        for a_ms, a_len in sums:
+            for b_ms, b_len in sums:
                 if a_len + b_len > length_bound:
                     continue
                 for middle in oracle.middle_terms_of_sums(shape, a_ms, b_ms, p=p):
@@ -477,25 +485,27 @@ def test_closure_asks_each_pair_once_in_reference_order(monkeypatch, length_boun
         assert ours == list(dict.fromkeys(asked)), gens
 
 
-def _middle_cache_digest():
+def _middle_cache_digest(entries):
     rows = sorted(str((key, sorted(map(str, result)), needs, peak))
-                  for key, (result, needs, peak) in oracle._MIDDLE_CACHE.items())
+                  for key, (result, needs, peak) in entries.items())
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-def test_closure_suite_cache_contents_and_sweep_state(monkeypatch):
-    """From empty caches, the tube-closure-t2 suite leaves the middle-term
-    cache it always has, and each sweep keeps only its pairs and an index."""
+def test_closure_suite_cache_contents_and_sweep_state(empty_oracle):
+    """From an empty memo, the tube-closure-t2 suite leaves the middle-term
+    answers it always has, and each sweep keeps only its pairs and an index."""
     from stabcat import checks
 
-    monkeypatch.setattr(oracle, "_MIDDLE_CACHE", {})
-    monkeypatch.setattr(oracle, "_SWEEPS", {})
     assert checks.run_suite("tube-closure-t2").ok
-    assert len(oracle._MIDDLE_CACHE) == 713
-    assert _middle_cache_digest() == ("d35569a5586abc682994f913e3810a20"
-                                      "02b11eb011a18a58c9af89ad97099c18")
-    assert oracle._SWEEPS
-    for state in oracle._SWEEPS.values():
+    # the answers keyed (shape, p, A, B), as one flat cache held them
+    entries = {(shape, p, a, b): answer for (shape, p), memo in oracle._MEMO.items()
+               for (a, b), answer in memo.middle.items()}
+    assert len(entries) == 713
+    assert _middle_cache_digest(entries) == ("d35569a5586abc682994f913e3810a20"
+                                             "02b11eb011a18a58c9af89ad97099c18")
+    sweeps = [state for memo in oracle._MEMO.values() for state in memo.sweeps.values()]
+    assert sweeps
+    for state in sweeps:
         assert type(state) is tuple and len(state) == 2
         pairs, resume = state
         assert type(pairs) is set
@@ -504,3 +514,28 @@ def test_closure_suite_cache_contents_and_sweep_state(monkeypatch):
             assert type(pair) is tuple and len(pair) == 2
             assert all(type(side) is tuple and all(type(d) is TubeIndec for d in side)
                        for side in pair)
+
+
+def test_clear_gives_back_the_memo_memory(empty_oracle):
+    """Everything two suites leave behind lives in the oracle memo: after
+    `oracle.clear()` and a full collection, traced memory is back within
+    16 KB of where it started."""
+    import tracemalloc
+
+    from stabcat import checks
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert checks.run_suite("tube-closure-t2").ok
+        assert checks.run_suite("tube-middle-gf3").ok
+        held = tracemalloc.get_traced_memory()[0] - start
+        oracle.clear()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert not oracle._MEMO
+    assert held > 1_000_000
+    assert left < 16 * 1024, left

@@ -53,6 +53,26 @@ def test_validate_one_phase_full():
     assert validate(a2, sd).valid
 
 
+def test_validate_lists_every_hom_violation_in_order():
+    """A finest tube:3 datum with its pieces in reverse phase order breaks
+    Hom vanishing many times; `validate` lists every (higher phase, x,
+    lower phase, y) with Hom(x, y) != 0, in the order of the pairwise
+    definition: higher phase, then lower phase, then x and y by name."""
+    t3 = TubeAmbient(3)
+    sd = enumerate_finest(t3)[-1]
+    phases = sd.phases()
+    flipped = StabilityData(ExplicitOrder(phases),
+                            {ph: sd.pieces[other] for ph, other in zip(phases, reversed(phases))})
+    expected = [(hi, x, lo, y) for i, hi in enumerate(phases) for lo in phases[:i]
+                for x in canon_members(flipped.pieces[hi])
+                for y in canon_members(flipped.pieces[lo]) if t3.hom_nonzero(x, y)]
+    assert len(expected) == 13
+    assert len({(hi, lo) for hi, _, lo, _ in expected}) == 9
+    report = validate(t3, flipped)
+    assert report.hom_violations == expected
+    assert not report.valid and not report.piece_issues
+
+
 def test_validate_rejects_foreign_member():
     a2 = IntervalAmbient(2)
     sd = sd_over(IntervalAmbient(3), ["S1"], ["S3"])
