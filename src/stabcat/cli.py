@@ -24,9 +24,9 @@ from .stability import (FormatError, StabilityData, enumerate_finest, equivalent
                         hn_filtration, is_coarser, refine_to_finest, tau_orbit_size, validate)
 from .subcat import EnumerationBoundError, SubcatError
 from .tables import TABLE_AMBIENTS, verify_table
-from .torsion import (TorsionPair, classify_tube_torsion_pairs, dedupe_upto_tau,
-                      enumerate_torsion_pairs, pairs_to_markdown, tau_pair_orbit_size,
-                      torsion_pairs_from_finest, validate_torsion_pair)
+from .torsion import (TorsionPair, classify_tube_torsion_pairs, enumerate_torsion_pairs,
+                      pairs_to_markdown, tau_pair_orbit_size, torsion_pairs_from_finest,
+                      validate_torsion_pair)
 from .tube import TubeError
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def cmd_finest(args):
           + _windowed_note(amb))
     out = []
     for sd in data:
-        doc = sd.relabeled().to_json()
+        doc = sd.to_json()  # enumerated data have phases 1..k
         if args.upto_tau:
             doc["tau_orbit_size"] = tau_orbit_size(amb, sd)
         out.append(doc)
@@ -114,9 +114,7 @@ def cmd_torsion(args):
             raise CliError("the ray/coray classifier only applies to tube ambients", EXIT_PARSE)
         pairs = classify_tube_torsion_pairs(amb.n, upto_tau=args.upto_tau)
     else:
-        pairs = torsion_pairs_from_finest(amb)
-        if args.upto_tau:
-            pairs = dedupe_upto_tau(amb, pairs)
+        pairs = torsion_pairs_from_finest(amb, upto_tau=args.upto_tau)
     if args.json:
         docs = []
         for p in pairs:
@@ -241,6 +239,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads the value of `--opt=--` as an empty list
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: --{dest} needs a value other than '--'", file=sys.stderr)
+            sys.exit(EXIT_PARSE)
     try:
         code = args.func(args)
     except CliError as exc:

@@ -22,6 +22,8 @@ with pieces T_{i+1} & T_i^perp, and the finest data are the maximal chains.
 `enumerate_valid` and `enumerate_finest` count the chains of the walked
 torsion-class lattice, then certify it once per class and cover; no datum
 goes through `validate` or `is_finest`, which the tests keep as oracle.
+Chains stay piece masks through the sort and the τ-dedupe (`CarrierContext`);
+a datum is built only for each chain returned.
 """
 
 from __future__ import annotations
@@ -434,35 +436,46 @@ def all_cuts(sd: StabilityData):
     return [set(phases[:k]) for k in range(len(phases) + 1)]
 
 
-# -- τ-action ----------------------------------------------------------------
+# -- piece masks and the τ-action --------------------------------------------
+
+def _piece_masks(ctx, sd: StabilityData) -> tuple:
+    """The datum's pieces as carrier masks, in phase order."""
+    return tuple(map(ctx.to_mask, sd.piece_sequence()))
+
+
+def _data(ctx, chains: list) -> list:
+    """A datum with phases 1..k for each sequence of k piece masks; the data
+    share one set per piece mask and one order per phase count."""
+    sets = {m: ctx.to_set(m) for m in set().union(*chains)}
+    orders = {k: ExplicitOrder(map(Phase.integer, range(1, k + 1))) for k in set(map(len, chains))}
+    return [StabilityData(orders[len(c)], dict(zip(orders[len(c)].elements(), map(sets.get, c))))
+            for c in chains]
+
 
 def tau_translate(ambient, sd: StabilityData, k: int = 1) -> StabilityData:
-    return StabilityData(sd.order, {ph: frozenset(_tau_iter(ambient, m, k) for m in piece)
-                                    for ph, piece in sd.pieces.items()})
-
-
-def _tau_iter(ambient, x, k):
+    """The datum moved k steps along τ, its phases kept."""
+    ctx = ctx_for(ambient)
+    masks = _piece_masks(ctx, sd)
     for _ in range(k):
-        y = ambient.tau(x)
-        if y is None:
-            raise StabilityError("ambient has no tau action")
-        x = y
-    return x
+        masks = ctx.translate(masks)
+    return StabilityData(sd.order, dict(zip(sd.phases(), map(ctx.to_set, masks))))
 
 
-def _sequence_key(sd: StabilityData):
-    return tuple(tuple(str(m) for m in canon_members(p)) for p in sd.piece_sequence())
+def tau_canonical(ambient, sd: StabilityData) -> StabilityData:
+    """The least τ-translate of the datum (`CarrierContext.orbit`), phases 1..k."""
+    ctx = ctx_for(ambient)
+    return _data(ctx, [ctx.orbit(_piece_masks(ctx, sd))[1]])[0]
 
 
 def tau_canonical_key(ambient, sd: StabilityData):
-    """Lexicographically minimal translate of the piece sequence."""
-    return min(_sequence_key(tau_translate(ambient, sd, k)) for k in range(ambient.tau_order()))
+    """The index key of the least translate of the piece sequence."""
+    ctx = ctx_for(ambient)
+    return ctx.key(ctx.orbit(_piece_masks(ctx, sd))[1])
 
 
 def tau_orbit_size(ambient, sd: StabilityData) -> int:
-    base = _sequence_key(sd)
-    return next((k for k in range(1, ambient.tau_order())
-                 if _sequence_key(tau_translate(ambient, sd, k)) == base), ambient.tau_order())
+    ctx = ctx_for(ambient)
+    return ctx.orbit(_piece_masks(ctx, sd))[0]
 
 
 # -- enumeration --------------------------------------------------------------
@@ -533,32 +546,29 @@ def _valid_data_over_pieces(ambient, pieces_pool):
     return results
 
 
-def _chain_data(ambient, covers: dict, successors: dict, what: str) -> list:
-    """The datum of every chain from the bottom class (the first key) to the
-    carrier along `successors`: the step T < U gives the piece U & T^perp,
-    and the last step phase 1.  Over FINEST_LIMIT chains raise
-    EnumerationBoundError (naming the ambient, the count of `what` and the
-    limit) before the walked lattice `covers` is certified; the certificate
-    makes every datum valid.  Data share one piece set per step."""
+def _chain_data(ambient, covers: dict, successors: dict, what: str):
+    """Yield the piece masks, in phase order, of every chain from the bottom
+    class (the first key) to the carrier along `successors`: the step T < U
+    gives the piece U & T^perp, and the last step phase 1.  Over FINEST_LIMIT
+    chains raise EnumerationBoundError (naming the ambient, the count of
+    `what` and the limit) before the walked lattice `covers` is certified;
+    the certificate makes every chain a valid datum."""
     count = _count_chains(successors)
     if count > FINEST_LIMIT:
         raise EnumerationBoundError(f"{ambient.spec_string()} has {count} {what}, "
                                     f"more than the enumeration limit {FINEST_LIMIT}")
     certify_lattice(ambient, covers)
     ctx = ctx_for(ambient)
-    steps = {t: [(u, ctx.to_set(u & ctx.right_perp_mask(t))) for u in reversed(us)]
+    steps = {t: [(u, u & ctx.right_perp_mask(t)) for u in reversed(us)]
              for t, us in successors.items()}
-    data = []
-    stack = [(next(iter(successors)), [])]  # depth first, without a self-referencing closure
+    stack = [(next(iter(successors)), ())]  # depth first, without a self-referencing closure
     while stack:
         t, pieces = stack.pop()
         if t == ctx.full_mask:
-            phases = [Phase.integer(i + 1) for i in range(len(pieces))]
-            data.append(StabilityData(ExplicitOrder(phases), dict(zip(phases, reversed(pieces)))))
+            yield pieces
             continue
         for u, piece in steps[t]:
-            stack.append((u, pieces + [piece]))
-    return data
+            stack.append((u, (piece,) + pieces))
 
 
 def enumerate_valid(ambient) -> list:
@@ -569,9 +579,8 @@ def enumerate_valid(ambient) -> list:
     chains raise EnumerationBoundError at once."""
     covers = lattice_walk(ambient)
     larger = {t: tuple(u for u in covers if u != t and t & ~u == 0) for t in covers}
-    out = _chain_data(ambient, covers, larger, "valid data")
-    out.sort(key=_sequence_key)
-    return out
+    ctx = ctx_for(ambient)
+    return _data(ctx, sorted(_chain_data(ambient, covers, larger, "valid data"), key=ctx.key))
 
 
 def _enumerate_valid_reference(ambient) -> list:
@@ -579,10 +588,10 @@ def _enumerate_valid_reference(ambient) -> list:
     (small carriers only)."""
     from .subcat import enumerate_ext_closed
 
+    ctx = ctx_for(ambient)
     pool = [s for s in enumerate_ext_closed(ambient) if s]
-    out = _valid_data_over_pieces(ambient, pool)
-    out.sort(key=_sequence_key)
-    return out
+    return sorted(_valid_data_over_pieces(ambient, pool),
+                  key=lambda sd: ctx.key(_piece_masks(ctx, sd)))
 
 
 def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
@@ -591,10 +600,10 @@ def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
     n = len(ambient.carrier())
     if n > bound:
         raise EnumerationBoundError(f"carrier size {n} exceeds reference-enumeration bound {bound}")
+    ctx = ctx_for(ambient)
     finest = [sd for sd in _valid_data_over_pieces(ambient, candidate_pieces(ambient))
               if is_finest(ambient, sd)[0]]
-    finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
-    return finest
+    return sorted(finest, key=lambda sd: (len(sd.phases()), ctx.key(_piece_masks(ctx, sd))))
 
 
 def _count_chains(successors: dict) -> int:
@@ -613,6 +622,15 @@ def count_finest(ambient) -> int:
     return _count_chains(torsion_lattice(ambient))
 
 
+def _finest_chains(ambient) -> list:
+    """The piece masks of the finest data, sorted by phase count, then by
+    `CarrierContext.key`."""
+    covers = lattice_walk(ambient)
+    ctx = ctx_for(ambient)
+    return sorted(_chain_data(ambient, covers, covers, "finest data"),
+                  key=lambda chain: (len(chain), ctx.key(chain)))
+
+
 def enumerate_finest(ambient, upto_tau: bool = False) -> list:
     """All finest valid data up to equivalence (optionally up to τ).
 
@@ -625,13 +643,8 @@ def enumerate_finest(ambient, upto_tau: bool = False) -> list:
     is validated: `torsion_lattice` certifies each class and cover once.
     Over FINEST_LIMIT maximal chains raise EnumerationBoundError at once.
     """
-    covers = lattice_walk(ambient)
-    finest = _chain_data(ambient, covers, covers, "finest data")
-    finest.sort(key=lambda sd: (len(sd.phases()), _sequence_key(sd)))
-    if not upto_tau:
-        return finest
-    # an orbit's data share their phase count, so its first datum is its minimum
-    reps = {}
-    for sd in finest:
-        reps.setdefault(tau_canonical_key(ambient, sd), sd)
-    return list(reps.values())
+    chains = _finest_chains(ambient)
+    ctx = ctx_for(ambient)
+    if upto_tau:
+        chains = [c for c in chains if ctx.orbit(c)[1] == c]
+    return _data(ctx, chains)

@@ -22,13 +22,18 @@ ENUMERATION_BOUND = 64  # carrier members an exhaustive enumeration accepts
 
 
 class CarrierContext:
-    """Hom/extension tables for one ambient, as bitmasks."""
+    """Hom/extension tables for one ambient, as bitmasks.  Member masks have
+    one sort key (`key`: index order is `str` order, as the carrier is sorted
+    by `str`) and one τ action (`tau`, empty when `tau_order` is 1)."""
 
     def __init__(self, ambient):
         self.carrier = tuple(ambient.carrier())
         self.index = {d: i for i, d in enumerate(self.carrier)}
         n = len(self.carrier)
         self.full_mask = (1 << n) - 1
+        self.tau_order = ambient.tau_order()
+        self.tau = (tuple(self.index[ambient.tau(x)] for x in self.carrier)
+                    if self.tau_order > 1 else ())
         self.hom_to = [0] * n
         self.hom_from = [0] * n
         for i, x in enumerate(self.carrier):
@@ -61,6 +66,22 @@ class CarrierContext:
 
     def to_set(self, mask: int) -> frozenset:
         return frozenset(self.carrier[i] for i in self.bits(mask))
+
+    def key(self, masks) -> tuple:
+        """Sort key of a sequence of member masks: each mask's indices, ascending."""
+        return tuple(tuple(self.bits(m)) for m in masks)
+
+    def translate(self, masks) -> tuple:
+        """τ applied to each member mask of a sequence."""
+        tau = self.tau or range(len(self.carrier))
+        return tuple(sum(1 << tau[i] for i in self.bits(m)) for m in masks)
+
+    def orbit(self, masks: tuple) -> tuple:
+        """(size, least translate by `key`) of the τ-orbit of a mask sequence."""
+        orbit = [masks]
+        while len(orbit) < self.tau_order and (image := self.translate(orbit[-1])) != masks:
+            orbit.append(image)
+        return len(orbit), min(orbit, key=self.key)
 
     def closure_mask(self, mask: int) -> int:
         while True:
@@ -165,9 +186,7 @@ def enumerate_ext_closed(ambient, bound: int = ENUMERATION_BOUND) -> list:
                     seen.add(c)
                     nxt.append(c)
         frontier = nxt
-    sets = [ctx.to_set(m) for m in seen]
-    sets.sort(key=lambda s: (len(s), [str(x) for x in canon_members(s)]))
-    return sets
+    return [ctx.to_set(m) for m in sorted(seen, key=lambda m: (m.bit_count(), ctx.key((m,))))]
 
 
 def enumerate_ext_closed_by_filter(ambient, bound: int = 16) -> list:
@@ -176,6 +195,5 @@ def enumerate_ext_closed_by_filter(ambient, bound: int = 16) -> list:
     n = len(ctx.carrier)
     if n > bound:
         raise SubcatError(f"carrier size {n} exceeds filter-enumeration bound {bound}")
-    sets = [ctx.to_set(m) for m in range(1 << n) if ctx.is_closed_mask(m)]
-    sets.sort(key=lambda s: (len(s), [str(x) for x in canon_members(s)]))
-    return sets
+    closed = [m for m in range(1 << n) if ctx.is_closed_mask(m)]
+    return [ctx.to_set(m) for m in sorted(closed, key=lambda m: (m.bit_count(), ctx.key((m,))))]

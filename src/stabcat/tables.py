@@ -12,7 +12,7 @@ import json
 from importlib import resources
 
 from .ambients import parse_ambient
-from .stability import StabilityData, enumerate_finest, is_finest, tau_translate, validate
+from .stability import StabilityData, enumerate_finest, is_finest, tau_canonical, validate
 from .torsion import (TorsionPair, enumerate_torsion_pairs, tau_pair_canonical,
                       validate_torsion_pair)
 
@@ -33,14 +33,6 @@ class FamilyCheckError(ValueError):
     """A family row of a table fails its own validation."""
 
 
-def _pair_rows(pairs):
-    return [p.to_json() for p in pairs]
-
-
-def _finest_rows(data):
-    return [sd.relabeled().to_json() for sd in data]
-
-
 def _checked_row(amb, row, what: str, **extra) -> dict:
     """`row`'s JSON document plus `extra`, once the torsion pair is valid or
     the datum is valid and finest; otherwise FamilyCheckError naming `what`."""
@@ -53,16 +45,13 @@ def _checked_row(amb, row, what: str, **extra) -> dict:
     return {**row.to_json(), **extra}
 
 
-def compute_table(name: str):
-    amb = parse_ambient(TABLE_AMBIENTS[name])
-    if name in ("a2-torsion", "a3-torsion"):
-        return _pair_rows(enumerate_torsion_pairs(amb))
-    if name == "a3-finest":
-        return _finest_rows(enumerate_finest(amb))
-    if name == "t3-finest":
-        return _finest_rows(enumerate_finest(amb, upto_tau=True))
-    if name == "t3-torsion":
-        return _pair_rows(enumerate_torsion_pairs(amb, upto_tau=True))
+def compute_table(name: str, amb):
+    """The rows of table `name`, computed over `amb`, its parsed ambient."""
+    upto_tau = name.startswith("t3-")  # the tube tables are stated up to τ
+    if name in ("a2-torsion", "a3-torsion", "t3-torsion"):
+        return [p.to_json() for p in enumerate_torsion_pairs(amb, upto_tau=upto_tau)]
+    if name in ("a3-finest", "t3-finest"):
+        return [sd.to_json() for sd in enumerate_finest(amb, upto_tau=upto_tau)]
     if name == "kron-torsion":
         from .sheaves.kronecker import kron_torsion_family
 
@@ -101,23 +90,15 @@ def compute_table(name: str):
     raise KeyError(f"unknown table {name!r}; known: {sorted(TABLE_AMBIENTS)}")
 
 
-def _canonical_rows(name: str, rows):
+def _canonical_rows(name: str, amb, rows):
     """Comparison form: tables stated up to the tube translation are mapped
     to orbit-canonical representatives first."""
-    amb = parse_ambient(TABLE_AMBIENTS[name])
-    canon = []
     if name == "t3-torsion":
-        for row in rows:
-            pair = TorsionPair.from_json(row, amb)
-            canon.append(tau_pair_canonical(amb, pair).to_json())
+        rows = [tau_pair_canonical(amb, TorsionPair.from_json(row, amb)).to_json()
+                for row in rows]
     elif name == "t3-finest":
-        for row in rows:
-            sd = StabilityData.from_json(row, amb)
-            orbit = [tau_translate(amb, sd, k).relabeled().to_json() for k in range(amb.tau_order())]
-            canon.append(min(orbit, key=json.dumps))
-    else:
-        canon = list(rows)
-    return sorted(canon, key=json.dumps)
+        rows = [tau_canonical(amb, StabilityData.from_json(row, amb)).to_json() for row in rows]
+    return sorted(rows, key=json.dumps)
 
 
 def golden_text(name: str) -> str:
@@ -126,9 +107,9 @@ def golden_text(name: str) -> str:
 
 def verify_table(name: str):
     """Recompute a table and diff against its golden; returns (ok, diff lines)."""
-    computed = _canonical_rows(name, compute_table(name))
-    golden_doc = json.loads(golden_text(name))
-    golden = _canonical_rows(name, golden_doc["rows"])
+    amb = parse_ambient(TABLE_AMBIENTS[name])
+    computed = _canonical_rows(name, amb, compute_table(name, amb))
+    golden = _canonical_rows(name, amb, json.loads(golden_text(name))["rows"])
     diffs = []
     comp_set = {json.dumps(r, sort_keys=True) for r in computed}
     gold_set = {json.dumps(r, sort_keys=True) for r in golden}

@@ -1,11 +1,12 @@
 """Torsion pairs: validation, the lattice of torsion classes, the ray/coray
-classifier for tubes, and the cuts-of-finest-data construction."""
+classifier for tubes, and the cuts-of-finest-data construction, each ending
+in one sort and τ-dedupe of (T, F) carrier masks (`_pairs`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .subcat import (EnumerationBoundError, canon_members, check_enumerable, closure, ctx_for,
+from .subcat import (EnumerationBoundError, canon_members, check_enumerable, ctx_for,
                      enumerate_ext_closed, left_perp, right_perp)
 
 
@@ -96,8 +97,17 @@ def is_quotient_closed(ambient, members) -> bool:
     return all(ambient.quotient_components(x) <= members for x in members)
 
 
-def _canonical_sort(pairs) -> list:
-    return sorted(pairs, key=lambda p: (len(p.t), p.key()))
+def _pairs(ctx, masks, upto_tau: bool, include_trivial: bool) -> list:
+    """The torsion pairs of the (T, F) mask pairs `masks`, each once, sorted
+    by |T|, then by `CarrierContext.key`; up to τ, the least pair of each
+    orbit (`CarrierContext.orbit`)."""
+    masks = set(masks)
+    if not include_trivial:
+        masks -= {(ctx.full_mask, 0), (0, ctx.full_mask)}
+    if upto_tau:
+        masks = {ctx.orbit(p)[1] for p in masks}
+    return [TorsionPair(ctx.to_set(t), ctx.to_set(f))
+            for t, f in sorted(masks, key=lambda p: (p[0].bit_count(), ctx.key(p)))]
 
 
 def torsion_lattice(ambient) -> dict:
@@ -181,21 +191,17 @@ def certify_lattice(ambient, covers: dict) -> dict:
 def enumerate_torsion_pairs(ambient, upto_tau: bool = False,
                             include_trivial: bool = False) -> list:
     """Every torsion pair (T, T^perp), one per class of `torsion_lattice`."""
-    lattice = torsion_lattice(ambient)
+    lattice = torsion_lattice(ambient)  # refuses an over-bound carrier before any table
     ctx = ctx_for(ambient)
-    pairs = [TorsionPair(ctx.to_set(t), ctx.to_set(ctx.right_perp_mask(t))) for t in lattice]
-    if not include_trivial:
-        pairs = [p for p in pairs if not p.is_trivial(ambient)]
-    if upto_tau:
-        pairs = dedupe_upto_tau(ambient, pairs)
-    return _canonical_sort(pairs)
+    return _pairs(ctx, ((t, ctx.right_perp_mask(t)) for t in lattice), upto_tau, include_trivial)
 
 
 def _enumerate_torsion_pairs_brute(ambient) -> list:
     """Reference enumeration, trivial pairs included: every extension-closed
     set that is quotient-closed, equal to its double perp and passes
     `validate_torsion_pair`."""
-    pairs = []
+    ctx = ctx_for(ambient)
+    masks = []
     for t in enumerate_ext_closed(ambient):
         if not is_quotient_closed(ambient, t):
             continue
@@ -203,91 +209,66 @@ def _enumerate_torsion_pairs_brute(ambient) -> list:
         if left_perp(ambient, f) != t:
             continue
         if validate_torsion_pair(ambient, t, f).valid:
-            pairs.append(TorsionPair(t, f))
-    return _canonical_sort(pairs)
-
-
-def tau_translate_pair(ambient, pair: TorsionPair, k: int = 1) -> TorsionPair:
-    t, f = pair.t, pair.f
-    for _ in range(k):
-        t = frozenset(ambient.tau(x) for x in t)
-        f = frozenset(ambient.tau(x) for x in f)
-    return TorsionPair(t, f)
+            masks.append((ctx.to_mask(t), ctx.to_mask(f)))
+    return _pairs(ctx, masks, upto_tau=False, include_trivial=True)
 
 
 def tau_pair_orbit_size(ambient, pair: TorsionPair) -> int:
-    for k in range(1, ambient.tau_order()):
-        if tau_translate_pair(ambient, pair, k) == pair:
-            return k
-    return ambient.tau_order()
+    ctx = ctx_for(ambient)
+    return ctx.orbit((ctx.to_mask(pair.t), ctx.to_mask(pair.f)))[0]
 
 
 def tau_pair_canonical(ambient, pair: TorsionPair) -> TorsionPair:
-    orbit = [tau_translate_pair(ambient, pair, k) for k in range(ambient.tau_order())]
-    return min(orbit, key=lambda p: p.key())
+    return dedupe_upto_tau(ambient, [pair])[0]
 
 
 def dedupe_upto_tau(ambient, pairs) -> list:
-    seen = {}
-    for p in pairs:
-        canon = tau_pair_canonical(ambient, p)
-        seen.setdefault(canon.key(), canon)
-    return [seen[k] for k in sorted(seen)]
+    """The least pair of each τ-orbit met in `pairs`, in canonical order."""
+    ctx = ctx_for(ambient)
+    return _pairs(ctx, ((ctx.to_mask(p.t), ctx.to_mask(p.f)) for p in pairs), upto_tau=True,
+                  include_trivial=True)
 
 
 def classify_tube_torsion_pairs(n: int, upto_tau: bool = False, include_trivial: bool = False) -> list:
     """Structural classification: ray pairs from torsion classes of
     <S_1, ..., S_{n-1}>  (an A_{n-1} module category), coray pairs from
-    torsionfree classes of <S_0, ..., S_{n-2}>."""
+    torsionfree classes of <S_0, ..., S_{n-2}>, with their τ-translates."""
     from .ambient import IntervalAmbient, TubeAmbient
     from .intervals import embed_in_tube
     from .tube import tau
 
     tube_amb = TubeAmbient(n)
-    pairs = {}
-
-    def add(pair):
-        pairs[pair.key()] = pair
-
-    add(TorsionPair(frozenset(tube_amb.carrier()), frozenset()))
-    add(TorsionPair(frozenset(), frozenset(tube_amb.carrier())))
+    ctx = ctx_for(tube_amb)
+    masks = {(ctx.full_mask, 0), (0, ctx.full_mask)}
     if n >= 2:
-        small = IntervalAmbient(n - 1)
-        small_pairs = enumerate_torsion_pairs(small, include_trivial=True)
-        for sp in small_pairs:
+        for sp in enumerate_torsion_pairs(IntervalAmbient(n - 1), include_trivial=True):
             # ray type: image sits in <S_1, ..., S_{n-1}> after the embedding
-            t_img = frozenset(map(embed_in_tube, sp.t))
-            t_closed = closure(tube_amb, t_img)
-            ray = TorsionPair(t_closed, right_perp(tube_amb, t_closed))
+            t = ctx.closure_mask(ctx.to_mask(map(embed_in_tube, sp.t)))
             # coray type: shift the torsionfree class into <S_0, ..., S_{n-2}>
-            f_img = frozenset(tau(embed_in_tube(m)) for m in sp.f)
-            f_closed = closure(tube_amb, f_img)
-            coray = TorsionPair(left_perp(tube_amb, f_closed), f_closed)
-            for base in (ray, coray):
-                for k in range(n):
-                    add(tau_translate_pair(tube_amb, base, k))
-    out = [p for p in pairs.values()
-           if validate_torsion_pair(tube_amb, p.t, p.f).valid]
-    if not include_trivial:
-        out = [p for p in out if not p.is_trivial(tube_amb)]
-    if upto_tau:
-        out = dedupe_upto_tau(tube_amb, out)
-    return _canonical_sort(out)
+            f = ctx.closure_mask(ctx.to_mask(tau(embed_in_tube(m)) for m in sp.f))
+            for pair in ((t, ctx.right_perp_mask(t)), (ctx.left_perp_mask(f), f)):
+                for _ in range(n):
+                    masks.add(pair)
+                    pair = ctx.translate(pair)
+    valid = [(t, f) for t, f in masks
+             if validate_torsion_pair(tube_amb, ctx.to_set(t), ctx.to_set(f)).valid]
+    return _pairs(ctx, valid, upto_tau, include_trivial)
 
 
-def torsion_pairs_from_finest(ambient, include_trivial: bool = False) -> list:
-    """Union of all cuts of all finest data; must equal `enumerate_torsion_pairs`."""
-    from .stability import all_cuts, cut_torsion_pair, enumerate_finest
+def torsion_pairs_from_finest(ambient, upto_tau: bool = False,
+                              include_trivial: bool = False) -> list:
+    """Union of all cuts of all finest data, T closed from the pieces above
+    the cut and F from those below; must equal `enumerate_torsion_pairs`."""
+    from .stability import _finest_chains
 
-    pairs = {}
-    for sd in enumerate_finest(ambient):
-        for cut in all_cuts(sd):
-            pair = cut_torsion_pair(ambient, sd, cut)
-            pairs[pair.key()] = pair
-    out = list(pairs.values())
-    if not include_trivial:
-        out = [p for p in out if not p.is_trivial(ambient)]
-    return _canonical_sort(out)
+    chains = _finest_chains(ambient)
+    ctx = ctx_for(ambient)
+    cuts = set()
+    for chain in chains:
+        for k in range(len(chain) + 1):
+            # the pieces are disjoint, so their sum is their union
+            cuts.add((ctx.closure_mask(sum(chain[k:])), ctx.closure_mask(sum(chain[:k]))))
+    return _pairs(ctx, cuts, upto_tau, include_trivial)
 
 
 def pairs_to_markdown(pairs, title: str) -> str:

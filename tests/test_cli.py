@@ -500,3 +500,31 @@ def test_fuzz_cli_exit_codes(tmp_path, capsys, command, spec, data):
     assert code in range(5)
     assert "Traceback" not in err
     assert len(err.splitlines()) <= 1, err
+
+
+@pytest.mark.parametrize("spec, methods", [("tube:3", ("brute", "cuts", "ray-coray")),
+                                           ("an:3", ("brute", "cuts"))])
+def test_torsion_methods_print_identical_upto_tau_json(spec, methods):
+    """Every method ends in the same sort and τ-dedupe, so the documents
+    match byte for byte, τ-orbit sizes included."""
+    outs = [run_cli("torsion", "--ambient", spec, "--method", m, "--upto-tau", "--json")
+            for m in methods]
+    assert all(out.returncode == 0 and out.stderr == "" for out in outs)
+    assert len({out.stdout for out in outs}) == 1
+
+
+@pytest.mark.parametrize("command, option", [("validate", "--ambient"), ("validate", "--data"),
+                                             ("compare", "--data2"), ("hn", "--object"),
+                                             ("finest", "--ambient")])
+def test_double_dash_option_value_exit_two(tmp_path, capsys, command, option):
+    """argparse reads `--opt=--` as an empty list; the CLI names the option
+    on one line and exits 2 instead of failing with a traceback."""
+    data = tmp_path / "a2.json"
+    data.write_text(json.dumps({"order": ["1"], "pieces": {"1": ["S1"]}}))
+    args = {"--ambient": "an:2", "--data": str(data), "--data2": str(data), "--object": "S1"}
+    used = {"validate": ("--ambient", "--data"), "hn": ("--ambient", "--data", "--object"),
+            "compare": ("--ambient", "--data", "--data2"), "finest": ("--ambient",)}[command]
+    argv = [f"{o}={'--' if o == option else args[o]}" for o in used]
+    code, out, err = run_main(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {option} needs a value other than '--'\n"
