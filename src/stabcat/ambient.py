@@ -6,10 +6,10 @@ periodic family of actual objects (`_instances`), and `middle_terms` and
 `carrier_decompositions` sweep those instances through the model's rules on
 actual objects (`_middles_actual`, `decompositions`), embed the results in
 the carrier and keep the ones inside it (`_in_carrier`).  A model supplies
-those rules, not the sweep.  `middle_terms` is not memoised: the carrier
-context (`subcat.ctx_for`) reads each pair once and keeps it as bitmasks;
-`carrier_decompositions`, which the lattice re-reads, is memoised on the
-instance, so the memo dies with the ambient.
+those rules, not the sweep.  Neither is memoised: the carrier context
+(`subcat.ctx_for`) reads each middle term once and keeps it as bitmasks,
+and reads each member's decompositions once, on first use, as the (sub,
+quotient) masks the torsion-pair check tests bits against.
 
 The HN search asks `phase_quotients` only for the decompositions whose
 quotient one phase owns, below the phases the sub's chains end in.  The
@@ -181,19 +181,13 @@ class Ambient:
 
     def carrier_decompositions(self, x) -> tuple:
         """(sub, quotient) pairs of the instances of x, in carrier space,
-        each once; memoised on the instance, forming no reference cycle."""
-        memo = self.__dict__.setdefault("_carrier_decompositions", {})
-        if x not in memo:
-            embed = self.embed
-            seen = {}
-            for inst in self._instances(x):
-                for subs, quots in self.decompositions(inst):
-                    seen[(tuple(map(embed, subs)), tuple(map(embed, quots)))] = None
-            memo[x] = tuple(seen)
-        return memo[x]
-
-    def quotient_components(self, x) -> frozenset:
-        return frozenset(q for _, quots in self.carrier_decompositions(x) for q in quots)
+        each once."""
+        embed = self.embed
+        seen = {}
+        for inst in self._instances(x):
+            for subs, quots in self.decompositions(inst):
+                seen[(tuple(map(embed, subs)), tuple(map(embed, quots)))] = None
+        return tuple(seen)
 
     def tau(self, x):
         return None

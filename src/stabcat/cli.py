@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .ambient import AmbientError, SizeLimitError, TubeAmbient, WindowError
@@ -231,7 +230,7 @@ def build_parser():
 
     p = sub.add_parser("oracle-check", help="run a linear-algebra cross-check suite")
     p.add_argument("suite", help="suite name or 'all'")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_oracle_check)
     return parser
 

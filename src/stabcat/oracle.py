@@ -121,14 +121,10 @@ class QuiverRep:
         return sum(self.dims.values())
 
 
-def zero_rep(shape, p) -> QuiverRep:
-    return QuiverRep(shape, p, {v: 0 for v in vertices(shape)}, {})
-
-
 def direct_sum(reps) -> QuiverRep:
     reps = list(reps)
     if not reps:
-        raise OracleError("empty direct sum; use zero_rep")
+        raise OracleError("empty direct sum")
     shape, p = reps[0].shape, reps[0].p
     dims = {v: sum(r.dims[v] for r in reps) for v in vertices(shape)}
     maps = {}

@@ -21,9 +21,10 @@ Valid data are the chains 0 = T_0 < ... < T_k = carrier of torsion classes,
 with pieces T_{i+1} & T_i^perp, and the finest data are the maximal chains.
 `enumerate_valid` and `enumerate_finest` count the chains of the walked
 torsion-class lattice, then certify it once per class and cover; no datum
-goes through `validate` or `is_finest`, which the tests keep as oracle.
-Chains stay piece masks through the sort and the τ-dedupe (`CarrierContext`);
-a datum is built only for each chain returned.
+goes through `validate` or `is_finest`.  The tests keep `validate` as oracle
+(`tests/reference.py` validates every datum over the closed pieces).  Chains
+stay piece masks through the sort and the τ-dedupe (`CarrierContext`); a
+datum is built only for each chain returned.
 """
 
 from __future__ import annotations
@@ -243,57 +244,6 @@ class HNSearch:
         return tuple(merged)
 
 
-def _hn_chains_reference(ambient, sd: StabilityData, x) -> tuple:
-    """Test oracle for `hn_chains`: the descriptor-based search with a fresh
-    memo, testing quotients through `piece_of_map`."""
-    pidx = {ph: i for i, ph in enumerate(sd.order.elements())}
-    return _reference_chains(ambient, sd, x, {}, sd.piece_of_map(), pidx)
-
-
-def _reference_chains(ambient, sd, x, memo, piece_of, pidx):
-    if x in memo:
-        return memo[x]
-    memo[x] = ()
-    results = set()
-    emb = ambient.embed(x)
-    ph = piece_of.get(emb)
-    if ph is not None:
-        results.add(((ph, (x,), (x,)),))
-    for subs, quots in ambient.decompositions(x):
-        qphases = {piece_of.get(ambient.embed(q)) for q in quots}
-        if len(qphases) != 1 or None in qphases:
-            continue
-        qph = next(iter(qphases))
-        quots_c = tuple(sorted(quots, key=str))
-        for chain_s in _reference_multiset(ambient, sd, subs, memo, piece_of, pidx):
-            if pidx[chain_s[-1][0]] > pidx[qph]:
-                results.add(chain_s + ((qph, quots_c, (x,)),))
-    memo[x] = tuple(sorted(results, key=str))
-    return memo[x]
-
-
-def _reference_multiset(ambient, sd, subs, memo, piece_of, pidx):
-    if len(subs) == 1:
-        return _reference_chains(ambient, sd, subs[0], memo, piece_of, pidx)
-    per = [_reference_chains(ambient, sd, s, memo, piece_of, pidx) for s in subs]
-    if any(not c for c in per):
-        return ()
-    combos = 1
-    for c in per:
-        combos *= len(c)
-    if combos > _HN_COMBO_CAP:
-        raise StabilityError(f"HN search explosion ({combos} combinations)")
-    merged = set()
-    for pick in itertools.product(*per):
-        by_phase = {}
-        for chain in pick:
-            for ph, fac, _ in chain:
-                by_phase.setdefault(ph, []).extend(fac)
-        phases = sorted(by_phase, key=lambda p: -pidx[p])
-        merged.add(tuple((ph, tuple(sorted(by_phase[ph], key=str)), None) for ph in phases))
-    return tuple(sorted(merged, key=str))
-
-
 def hn_chains(ambient, sd: StabilityData, x) -> tuple:
     """All decreasing-phase chain decompositions of x (unique iff sd valid)."""
     return sd.hn_search(ambient).chains(x)
@@ -480,72 +430,6 @@ def tau_orbit_size(ambient, sd: StabilityData) -> int:
 
 # -- enumeration --------------------------------------------------------------
 
-def candidate_pieces(ambient) -> list:
-    """Nonempty Hom-connected extension-closed subcats: the only sets that
-    can serve as pieces of a finest datum (mutual Hom-nonvanishing)."""
-    from .subcat import enumerate_ext_closed
-
-    ctx = ctx_for(ambient)
-    return [s for s in enumerate_ext_closed(ambient)
-            if s and ctx.is_connected_mask(ctx.to_mask(s))]
-
-
-def _valid_data_over_pieces(ambient, pieces_pool):
-    """Every valid datum whose pieces are drawn from the pool and hold every
-    object with no proper decomposition (semistable in any datum)."""
-    ctx = ctx_for(ambient)
-    pool = [frozenset(p) for p in pieces_pool]
-    masks = [ctx.to_mask(p) for p in pool]
-    npool = len(pool)
-    hom = [[any(ambient.hom_nonzero(x, y) for x in pool[i] for y in pool[j])
-            for j in range(npool)] for i in range(npool)]
-    results = []
-
-    def orders_of(chosen):
-        edges = {i: set() for i in chosen}
-        for i in chosen:
-            for j in chosen:
-                if i != j and hom[i][j]:
-                    if hom[j][i]:
-                        return
-                    edges[i].add(j)
-        seq = []
-
-        def extend(remaining):
-            if not remaining:
-                yield tuple(seq)
-                return
-            for i in sorted(remaining):
-                if all(i not in edges[j] for j in remaining if j != i):
-                    seq.append(i)
-                    yield from extend(remaining - {i})
-                    seq.pop()
-
-        yield from extend(frozenset(chosen))
-
-    mandatory_mask = ctx.to_mask(ambient.embed(x) for x in ambient.hn_scope()
-                                 if not ambient.decompositions(x))
-
-    def rec(start, chosen, used_mask):
-        if chosen:
-            if not mandatory_mask & ~used_mask:
-                for order in orders_of(chosen):
-                    phases = [Phase.integer(i + 1) for i in range(len(order))]
-                    sd = StabilityData(ExplicitOrder(phases),
-                                       {phases[k]: pool[i] for k, i in enumerate(order)})
-                    valid = validate(ambient, sd).valid
-                    sd._search = None  # results would otherwise keep every HN memo alive
-                    if valid:
-                        results.append(sd)
-        for i in range(start, npool):
-            if masks[i] & used_mask:
-                continue
-            rec(i + 1, chosen + [i], used_mask | masks[i])
-
-    rec(0, [], 0)
-    return results
-
-
 def _chain_data(ambient, covers: dict, successors: dict, what: str):
     """Yield the piece masks, in phase order, of every chain from the bottom
     class (the first key) to the carrier along `successors`: the step T < U
@@ -581,29 +465,6 @@ def enumerate_valid(ambient) -> list:
     larger = {t: tuple(u for u in covers if u != t and t & ~u == 0) for t in covers}
     ctx = ctx_for(ambient)
     return _data(ctx, sorted(_chain_data(ambient, covers, larger, "valid data"), key=ctx.key))
-
-
-def _enumerate_valid_reference(ambient) -> list:
-    """Reference enumeration: validate every datum over the closed pieces
-    (small carriers only)."""
-    from .subcat import enumerate_ext_closed
-
-    ctx = ctx_for(ambient)
-    pool = [s for s in enumerate_ext_closed(ambient) if s]
-    return sorted(_valid_data_over_pieces(ambient, pool),
-                  key=lambda sd: ctx.key(_piece_masks(ctx, sd)))
-
-
-def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
-    """Reference enumeration: validate every datum over the Hom-connected
-    closed pieces and keep the finest ones (small carriers only)."""
-    n = len(ambient.carrier())
-    if n > bound:
-        raise EnumerationBoundError(f"carrier size {n} exceeds reference-enumeration bound {bound}")
-    ctx = ctx_for(ambient)
-    finest = [sd for sd in _valid_data_over_pieces(ambient, candidate_pieces(ambient))
-              if is_finest(ambient, sd)[0]]
-    return sorted(finest, key=lambda sd: (len(sd.phases()), ctx.key(_piece_masks(ctx, sd))))
 
 
 def _count_chains(successors: dict) -> int:
@@ -645,6 +506,14 @@ def enumerate_finest(ambient, upto_tau: bool = False) -> list:
     """
     chains = _finest_chains(ambient)
     ctx = ctx_for(ambient)
-    if upto_tau:
-        chains = [c for c in chains if ctx.orbit(c)[1] == c]
+    if upto_tau:  # translates have one length: the first met is the orbit's least
+        kept, seen = [], set()
+        for c in chains:
+            if c not in seen:
+                kept.append(c)
+                image = ctx.translate(c)
+                while image != c:
+                    seen.add(image)
+                    image = ctx.translate(image)
+        chains = kept
     return _data(ctx, chains)

@@ -24,7 +24,9 @@ ENUMERATION_BOUND = 64  # carrier members an exhaustive enumeration accepts
 class CarrierContext:
     """Hom/extension tables for one ambient, as bitmasks.  Member masks have
     one sort key (`key`: index order is `str` order, as the carrier is sorted
-    by `str`) and one τ action (`tau`, empty when `tau_order` is 1)."""
+    by `str`) and one τ action (`tau`, empty when `tau_order` is 1).
+    `reported` masks the reported members; `scope` pairs each validation
+    object with the index of its carrier member."""
 
     def __init__(self, ambient):
         self.carrier = tuple(ambient.carrier())
@@ -41,6 +43,9 @@ class CarrierContext:
                 if ambient.hom_nonzero(x, y):
                     self.hom_to[i] |= 1 << j
                     self.hom_from[j] |= 1 << i
+        self.reported = self.to_mask(ambient.reported_members())
+        self.scope = tuple((x, self.index[ambient.embed(x)]) for x in ambient.hn_scope())
+        self.splits = {}
         self.mid_mask = [[0] * n for _ in range(n)]
         for i, a in enumerate(self.carrier):
             for j, b in enumerate(self.carrier):
@@ -49,6 +54,14 @@ class CarrierContext:
                     for comp in multiset:
                         m |= 1 << self.index[comp]
                 self.mid_mask[i][j] = m
+
+    def split_masks(self, ambient, i: int) -> tuple:
+        """(sub mask, quotient mask) of each pair `carrier_decompositions`
+        gives member i, built on first use."""
+        if i not in self.splits:
+            pairs = ambient.carrier_decompositions(self.carrier[i])
+            self.splits[i] = tuple((self.to_mask(s), self.to_mask(q)) for s, q in pairs)
+        return self.splits[i]
 
     def bits(self, mask: int):
         while mask:
@@ -154,23 +167,22 @@ def left_perp(ambient, members) -> frozenset:
     return ctx.to_set(ctx.left_perp_mask(ctx.to_mask(members)))
 
 
-def check_enumerable(ambient, bound: int = ENUMERATION_BOUND) -> None:
+def check_enumerable(ambient) -> None:
     """Refuse exhaustive enumeration before any carrier table is built."""
     if not getattr(ambient, "supports_enumeration", True):
         raise SubcatError(f"{ambient.spec_string()} models only part of its extension "
                           "structure; exhaustive enumeration is disabled")
     n = len(ambient.carrier())
-    if n > bound:
-        raise EnumerationBoundError(f"carrier size {n} exceeds enumeration bound {bound}")
+    if n > ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"carrier size {n} exceeds enumeration bound "
+                                    f"{ENUMERATION_BOUND}")
 
 
-def enumerate_ext_closed(ambient, bound: int = ENUMERATION_BOUND) -> list:
-    """All extension-closed member sets, canonically sorted.
-
-    Walks the closure system from the empty set: every closed set is reached
-    by closing one-element enlargements of smaller closed sets.
-    """
-    check_enumerable(ambient, bound)
+def enumerate_ext_closed(ambient) -> list:
+    """All extension-closed member sets, canonically sorted, reached from the
+    empty set by closing one-element enlargements of smaller closed sets.  No
+    package path calls it: it serves the tests and the benchmark tracer."""
+    check_enumerable(ambient)
     ctx = ctx_for(ambient)
     n = len(ctx.carrier)
     seen = {0}
@@ -188,12 +200,3 @@ def enumerate_ext_closed(ambient, bound: int = ENUMERATION_BOUND) -> list:
         frontier = nxt
     return [ctx.to_set(m) for m in sorted(seen, key=lambda m: (m.bit_count(), ctx.key((m,))))]
 
-
-def enumerate_ext_closed_by_filter(ambient, bound: int = 16) -> list:
-    """Reference enumeration: test closedness of every subset (tiny carriers)."""
-    ctx = ctx_for(ambient)
-    n = len(ctx.carrier)
-    if n > bound:
-        raise SubcatError(f"carrier size {n} exceeds filter-enumeration bound {bound}")
-    closed = [m for m in range(1 << n) if ctx.is_closed_mask(m)]
-    return [ctx.to_set(m) for m in sorted(closed, key=lambda m: (m.bit_count(), ctx.key((m,))))]

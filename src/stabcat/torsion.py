@@ -1,13 +1,14 @@
 """Torsion pairs: validation, the lattice of torsion classes, the ray/coray
 classifier for tubes, and the cuts-of-finest-data construction, each ending
-in one sort and τ-dedupe of (T, F) carrier masks (`_pairs`)."""
+in one sort and τ-dedupe of (T, F) carrier masks (`_pairs`).  The check of
+a torsion pair is bit tests on those masks; the tests keep the
+descriptor-level check as its oracle."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .subcat import (EnumerationBoundError, canon_members, check_enumerable, ctx_for,
-                     enumerate_ext_closed, left_perp, right_perp)
+from .subcat import EnumerationBoundError, canon_members, check_enumerable, ctx_for
 
 
 class TorsionError(ValueError):
@@ -58,43 +59,29 @@ class TorsionReport:
         return "invalid: " + "; ".join(str(b) for b in bits)
 
 
-def _decomposes(ambient, t, f, x) -> bool:
-    """x itself in T or F, or some subobject in T with quotient in F.
-
-    Checking indecomposables suffices: the torsion subobject of a direct sum
-    is the direct sum of the torsion subobjects.
-    """
-    emb = ambient.embed(x)
-    if emb in t or emb in f:
-        return True
-    for subs, quots in ambient.carrier_decompositions(emb):
-        if all(s in t for s in subs) and all(q in f for q in quots):
-            return True
-    return False
-
-
 def validate_torsion_pair(ambient, t, f) -> TorsionReport:
-    t, f = frozenset(t), frozenset(f)
+    """T = perp(F) and F = T^perp on the reported members, and each scope
+    object in T, in F, or a subobject in T with quotient in F (indecomposables
+    suffice: the torsion part of a sum is the sum of the torsion parts)."""
+    ctx = ctx_for(ambient)
+    t, f = ctx.to_mask(t), ctx.to_mask(f)
     report = TorsionReport(valid=True)
-    scope = frozenset(ambient.reported_members())
-    rp = right_perp(ambient, t) & scope
-    lp = left_perp(ambient, f) & scope
-    if t & scope != lp:
-        diff = canon_members(lp.symmetric_difference(t & scope))
-        report.perp_failures.append(f"T != perp(F), differs at {diff[0]}")
-    if f & scope != rp:
-        diff = canon_members(rp.symmetric_difference(f & scope))
-        report.perp_failures.append(f"F != T^perp, differs at {diff[0]}")
-    for x in ambient.hn_scope():
-        if not _decomposes(ambient, t, f, x):
+    for what, mask, perp in (("T != perp(F)", t, ctx.left_perp_mask(f)),
+                             ("F != T^perp", f, ctx.right_perp_mask(t))):
+        if diff := (mask ^ perp) & ctx.reported:
+            report.perp_failures.append(f"{what}, differs at {ctx.carrier[next(ctx.bits(diff))]}")
+    for x, i in ctx.scope:
+        if not ((t | f) >> i & 1
+                or any(not (s & ~t or q & ~f) for s, q in ctx.split_masks(ambient, i))):
             report.decomposition_failures.append(x)
     report.valid = not (report.perp_failures or report.decomposition_failures)
     return report
 
 
 def is_quotient_closed(ambient, members) -> bool:
-    members = frozenset(members)
-    return all(ambient.quotient_components(x) <= members for x in members)
+    ctx = ctx_for(ambient)
+    mask = ctx.to_mask(members)
+    return not any(q & ~mask for i in ctx.bits(mask) for _, q in ctx.split_masks(ambient, i))
 
 
 def _pairs(ctx, masks, upto_tau: bool, include_trivial: bool) -> list:
@@ -194,23 +181,6 @@ def enumerate_torsion_pairs(ambient, upto_tau: bool = False,
     lattice = torsion_lattice(ambient)  # refuses an over-bound carrier before any table
     ctx = ctx_for(ambient)
     return _pairs(ctx, ((t, ctx.right_perp_mask(t)) for t in lattice), upto_tau, include_trivial)
-
-
-def _enumerate_torsion_pairs_brute(ambient) -> list:
-    """Reference enumeration, trivial pairs included: every extension-closed
-    set that is quotient-closed, equal to its double perp and passes
-    `validate_torsion_pair`."""
-    ctx = ctx_for(ambient)
-    masks = []
-    for t in enumerate_ext_closed(ambient):
-        if not is_quotient_closed(ambient, t):
-            continue
-        f = right_perp(ambient, t)
-        if left_perp(ambient, f) != t:
-            continue
-        if validate_torsion_pair(ambient, t, f).valid:
-            masks.append((ctx.to_mask(t), ctx.to_mask(f)))
-    return _pairs(ctx, masks, upto_tau=False, include_trivial=True)
 
 
 def tau_pair_orbit_size(ambient, pair: TorsionPair) -> int:

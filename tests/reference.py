@@ -1,0 +1,228 @@
+"""Reference paths kept as test oracles for the package's fast paths.
+
+Each function is the slow, descriptor-level path a fast path replaced:
+
+- the HN search by descriptors (`_hn_chains_reference`) for `hn_chains`;
+- validating every datum over the closed pieces (`_enumerate_valid_reference`,
+  `_enumerate_finest_reference`) for the lattice enumerations;
+- every extension-closed set that passes the torsion-pair check
+  (`_enumerate_torsion_pairs_brute`) for `enumerate_torsion_pairs`;
+- the subset filter (`enumerate_ext_closed_by_filter`) for `enumerate_ext_closed`;
+- the torsion-pair check on descriptor sets (`validate_torsion_pair`,
+  `_decomposes`, `is_quotient_closed`) for the bit tests of `stabcat.torsion`.
+
+They run on small carriers only and are imported by the tests alone.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from stabcat.phases import ExplicitOrder, Phase
+from stabcat.stability import (_HN_COMBO_CAP, StabilityData, StabilityError, _piece_masks,
+                               is_finest, validate)
+from stabcat.subcat import (EnumerationBoundError, SubcatError, canon_members, ctx_for,
+                            enumerate_ext_closed, left_perp, right_perp)
+from stabcat.torsion import TorsionReport, _pairs
+
+def _hn_chains_reference(ambient, sd: StabilityData, x) -> tuple:
+    """Test oracle for `hn_chains`: the descriptor-based search with a fresh
+    memo, testing quotients through `piece_of_map`."""
+    pidx = {ph: i for i, ph in enumerate(sd.order.elements())}
+    return _reference_chains(ambient, sd, x, {}, sd.piece_of_map(), pidx)
+
+
+def _reference_chains(ambient, sd, x, memo, piece_of, pidx):
+    if x in memo:
+        return memo[x]
+    memo[x] = ()
+    results = set()
+    emb = ambient.embed(x)
+    ph = piece_of.get(emb)
+    if ph is not None:
+        results.add(((ph, (x,), (x,)),))
+    for subs, quots in ambient.decompositions(x):
+        qphases = {piece_of.get(ambient.embed(q)) for q in quots}
+        if len(qphases) != 1 or None in qphases:
+            continue
+        qph = next(iter(qphases))
+        quots_c = tuple(sorted(quots, key=str))
+        for chain_s in _reference_multiset(ambient, sd, subs, memo, piece_of, pidx):
+            if pidx[chain_s[-1][0]] > pidx[qph]:
+                results.add(chain_s + ((qph, quots_c, (x,)),))
+    memo[x] = tuple(sorted(results, key=str))
+    return memo[x]
+
+
+def _reference_multiset(ambient, sd, subs, memo, piece_of, pidx):
+    if len(subs) == 1:
+        return _reference_chains(ambient, sd, subs[0], memo, piece_of, pidx)
+    per = [_reference_chains(ambient, sd, s, memo, piece_of, pidx) for s in subs]
+    if any(not c for c in per):
+        return ()
+    combos = 1
+    for c in per:
+        combos *= len(c)
+    if combos > _HN_COMBO_CAP:
+        raise StabilityError(f"HN search explosion ({combos} combinations)")
+    merged = set()
+    for pick in itertools.product(*per):
+        by_phase = {}
+        for chain in pick:
+            for ph, fac, _ in chain:
+                by_phase.setdefault(ph, []).extend(fac)
+        phases = sorted(by_phase, key=lambda p: -pidx[p])
+        merged.add(tuple((ph, tuple(sorted(by_phase[ph], key=str)), None) for ph in phases))
+    return tuple(sorted(merged, key=str))
+
+
+def candidate_pieces(ambient) -> list:
+    """Nonempty Hom-connected extension-closed subcats: the only sets that
+    can serve as pieces of a finest datum (mutual Hom-nonvanishing)."""
+    ctx = ctx_for(ambient)
+    return [s for s in enumerate_ext_closed(ambient)
+            if s and ctx.is_connected_mask(ctx.to_mask(s))]
+
+
+def _valid_data_over_pieces(ambient, pieces_pool):
+    """Every valid datum whose pieces are drawn from the pool and hold every
+    object with no proper decomposition (semistable in any datum)."""
+    ctx = ctx_for(ambient)
+    pool = [frozenset(p) for p in pieces_pool]
+    masks = [ctx.to_mask(p) for p in pool]
+    npool = len(pool)
+    hom = [[any(ambient.hom_nonzero(x, y) for x in pool[i] for y in pool[j])
+            for j in range(npool)] for i in range(npool)]
+    results = []
+
+    def orders_of(chosen):
+        edges = {i: set() for i in chosen}
+        for i in chosen:
+            for j in chosen:
+                if i != j and hom[i][j]:
+                    if hom[j][i]:
+                        return
+                    edges[i].add(j)
+        seq = []
+
+        def extend(remaining):
+            if not remaining:
+                yield tuple(seq)
+                return
+            for i in sorted(remaining):
+                if all(i not in edges[j] for j in remaining if j != i):
+                    seq.append(i)
+                    yield from extend(remaining - {i})
+                    seq.pop()
+
+        yield from extend(frozenset(chosen))
+
+    mandatory_mask = ctx.to_mask(ambient.embed(x) for x in ambient.hn_scope()
+                                 if not ambient.decompositions(x))
+
+    def rec(start, chosen, used_mask):
+        if chosen:
+            if not mandatory_mask & ~used_mask:
+                for order in orders_of(chosen):
+                    phases = [Phase.integer(i + 1) for i in range(len(order))]
+                    sd = StabilityData(ExplicitOrder(phases),
+                                       {phases[k]: pool[i] for k, i in enumerate(order)})
+                    valid = validate(ambient, sd).valid
+                    sd._search = None  # results would otherwise keep every HN memo alive
+                    if valid:
+                        results.append(sd)
+        for i in range(start, npool):
+            if masks[i] & used_mask:
+                continue
+            rec(i + 1, chosen + [i], used_mask | masks[i])
+
+    rec(0, [], 0)
+    return results
+
+
+def _enumerate_valid_reference(ambient) -> list:
+    """Reference enumeration: validate every datum over the closed pieces
+    (small carriers only)."""
+    ctx = ctx_for(ambient)
+    pool = [s for s in enumerate_ext_closed(ambient) if s]
+    return sorted(_valid_data_over_pieces(ambient, pool),
+                  key=lambda sd: ctx.key(_piece_masks(ctx, sd)))
+
+
+def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
+    """Reference enumeration: validate every datum over the Hom-connected
+    closed pieces and keep the finest ones (small carriers only)."""
+    n = len(ambient.carrier())
+    if n > bound:
+        raise EnumerationBoundError(f"carrier size {n} exceeds reference-enumeration bound {bound}")
+    ctx = ctx_for(ambient)
+    finest = [sd for sd in _valid_data_over_pieces(ambient, candidate_pieces(ambient))
+              if is_finest(ambient, sd)[0]]
+    return sorted(finest, key=lambda sd: (len(sd.phases()), ctx.key(_piece_masks(ctx, sd))))
+
+
+def _decomposes(ambient, t, f, x) -> bool:
+    """x itself in T or F, or some subobject in T with quotient in F.
+
+    Checking indecomposables suffices: the torsion subobject of a direct sum
+    is the direct sum of the torsion subobjects.
+    """
+    emb = ambient.embed(x)
+    if emb in t or emb in f:
+        return True
+    for subs, quots in ambient.carrier_decompositions(emb):
+        if all(s in t for s in subs) and all(q in f for q in quots):
+            return True
+    return False
+
+
+def validate_torsion_pair(ambient, t, f) -> TorsionReport:
+    t, f = frozenset(t), frozenset(f)
+    report = TorsionReport(valid=True)
+    scope = frozenset(ambient.reported_members())
+    rp = right_perp(ambient, t) & scope
+    lp = left_perp(ambient, f) & scope
+    if t & scope != lp:
+        diff = canon_members(lp.symmetric_difference(t & scope))
+        report.perp_failures.append(f"T != perp(F), differs at {diff[0]}")
+    if f & scope != rp:
+        diff = canon_members(rp.symmetric_difference(f & scope))
+        report.perp_failures.append(f"F != T^perp, differs at {diff[0]}")
+    for x in ambient.hn_scope():
+        if not _decomposes(ambient, t, f, x):
+            report.decomposition_failures.append(x)
+    report.valid = not (report.perp_failures or report.decomposition_failures)
+    return report
+
+
+def is_quotient_closed(ambient, members) -> bool:
+    members = frozenset(members)
+    return all(frozenset(q for _, quots in ambient.carrier_decompositions(x) for q in quots)
+               <= members for x in members)
+
+
+def _enumerate_torsion_pairs_brute(ambient) -> list:
+    """Reference enumeration, trivial pairs included: every extension-closed
+    set that is quotient-closed, equal to its double perp and passes
+    `validate_torsion_pair`."""
+    ctx = ctx_for(ambient)
+    masks = []
+    for t in enumerate_ext_closed(ambient):
+        if not is_quotient_closed(ambient, t):
+            continue
+        f = right_perp(ambient, t)
+        if left_perp(ambient, f) != t:
+            continue
+        if validate_torsion_pair(ambient, t, f).valid:
+            masks.append((ctx.to_mask(t), ctx.to_mask(f)))
+    return _pairs(ctx, masks, upto_tau=False, include_trivial=True)
+
+
+def enumerate_ext_closed_by_filter(ambient, bound: int = 16) -> list:
+    """Reference enumeration: test closedness of every subset (tiny carriers)."""
+    ctx = ctx_for(ambient)
+    n = len(ctx.carrier)
+    if n > bound:
+        raise SubcatError(f"carrier size {n} exceeds filter-enumeration bound {bound}")
+    closed = [m for m in range(1 << n) if ctx.is_closed_mask(m)]
+    return [ctx.to_set(m) for m in sorted(closed, key=lambda m: (m.bit_count(), ctx.key((m,))))]

@@ -227,6 +227,11 @@ def test_jobs_flag_result_independent():
     assert one.stdout.replace("jobs=1", "jobs=N") == four.stdout.replace("jobs=4", "jobs=N")
 
 
+def test_jobs_defaults_to_one():
+    """Without --jobs the suites run serially: pool workers share no oracle memo."""
+    assert cli.build_parser().parse_args(["oracle-check", "tube-hom"]).jobs == 1
+
+
 class _RecordingPool:
     """Stands in for multiprocessing.Pool: records its size, maps in process."""
     sizes = []

@@ -14,9 +14,11 @@ from stabcat.sheaves.kronecker import (KroneckerAmbient, finest_kron_directing,
                                       finest_kron_two_phase)
 from stabcat.sheaves.p1 import P1Ambient, P1Line, P1Tor, finest_p1, slope_data_p1
 from stabcat.sheaves.x2 import X2Ambient, X2Exc, X2Line, X2Ord, finest_x2, slope_data_x2
-from stabcat.stability import (HNBoundError, StabilityData, _hn_chains_reference,
-                               enumerate_finest, hn_chains, hn_filtration, validate)
+from stabcat.stability import (HNBoundError, StabilityData, enumerate_finest, hn_chains,
+                               hn_filtration, validate)
 from stabcat.subcat import EnumerationBoundError
+
+from reference import _hn_chains_reference
 
 
 def assert_matches_reference(amb, sd):

@@ -34,7 +34,7 @@ def test_hom_dim_examples():
     assert oracle.hom_dim(r22, r22) == 1
     r12 = oracle.build_indec(("cyclic", 1), TubeIndec(1, 0, 2), 2)
     assert oracle.hom_dim(r12, r12) == 2
-    zero = oracle.zero_rep(("cyclic", 2), 2)
+    zero = oracle.QuiverRep(("cyclic", 2), 2, {v: 0 for v in oracle.vertices(("cyclic", 2))}, {})
     assert oracle.hom_dim(r22, zero) == 0
 
 

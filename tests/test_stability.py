@@ -11,7 +11,6 @@ from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.ambients import parse_ambient
 from stabcat.phases import ExplicitOrder, Phase
 from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
-                               _enumerate_finest_reference, _enumerate_valid_reference,
                                all_cuts, count_finest, cut_torsion_pair,
                                enumerate_finest, enumerate_valid, equivalent, hn_chains,
                                hn_filtration, is_coarser, is_finest, refine_to_finest,
@@ -20,6 +19,8 @@ from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
 from stabcat.subcat import EnumerationBoundError, canon_members, closure, left_perp, right_perp
 from stabcat.torsion import TorsionError, torsion_lattice
 from stabcat.tube import TubeIndec
+
+from reference import _enumerate_finest_reference, _enumerate_valid_reference
 
 
 def sd_over(amb, *piece_names):
@@ -374,7 +375,6 @@ def test_enumerations_skip_the_reference_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("reference enumeration path reached")
 
-    monkeypatch.setattr(stability, "_valid_data_over_pieces", refuse)
     monkeypatch.setattr(subcat, "enumerate_ext_closed", refuse)
     t3 = TubeAmbient(3)
     assert len(enumerate_valid(t3)) == 181

@@ -9,9 +9,11 @@ from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.sheaves import KroneckerAmbient, P1Ambient, X2Ambient
 from stabcat.stability import enumerate_finest
 from stabcat.subcat import (EnumerationBoundError, SubcatError, closure, enumerate_ext_closed,
-                            enumerate_ext_closed_by_filter, is_closed, left_perp, right_perp)
+                            is_closed, left_perp, right_perp)
 from stabcat.torsion import enumerate_torsion_pairs
 from stabcat.tube import TubeIndec
+
+from reference import enumerate_ext_closed_by_filter
 
 
 def members_str(s):
@@ -101,9 +103,10 @@ def test_enumerate_agrees_with_filter():
         assert walk == filt
 
 
-def test_enumerate_empty_carrier_like_bound():
+def test_enumerate_empty_carrier_like_bound(monkeypatch):
+    monkeypatch.setattr(subcat, "ENUMERATION_BOUND", 4)
     with pytest.raises(SubcatError, match="bound"):
-        enumerate_ext_closed(TubeAmbient(3), bound=4)
+        enumerate_ext_closed(TubeAmbient(3))
 
 
 def test_bound_checked_before_carrier_tables(monkeypatch):
@@ -143,14 +146,14 @@ def test_carrier_context_lives_with_its_ambient():
     lambda: KroneckerAmbient(3, 2),
 ], ids=["tube", "p1", "x2", "kronecker"])
 def test_method_caches_live_with_their_ambient(make):
-    """The carrier tables and the carrier-decomposition memo are stored on
-    the ambient: an ambient whose tables were built is freed once dropped."""
+    """The carrier tables and the split masks are stored on the ambient's
+    context: an ambient whose tables were built is freed once dropped."""
     amb = make()
-    subcat.ctx_for(amb)
-    for x in amb.carrier():
-        amb.carrier_decompositions(x)
-    assert len(vars(amb)["_carrier_decompositions"]) == len(amb.carrier())
+    ctx = subcat.ctx_for(amb)
+    for i in range(len(ctx.carrier)):
+        ctx.split_masks(amb, i)
+    assert len(ctx.splits) == len(amb.carrier())
     ref = weakref.ref(amb)
-    del amb
+    del amb, ctx
     gc.collect()
     assert ref() is None

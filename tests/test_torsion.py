@@ -6,11 +6,12 @@ import stabcat.torsion as torsion
 from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.stability import all_cuts, cut_torsion_pair, enumerate_finest
 from stabcat.subcat import closure, ctx_for, left_perp, right_perp
-from stabcat.torsion import (TorsionError, TorsionPair, _enumerate_torsion_pairs_brute,
-                             classify_tube_torsion_pairs, dedupe_upto_tau,
-                             enumerate_torsion_pairs, is_quotient_closed,
+from stabcat.torsion import (TorsionError, TorsionPair, classify_tube_torsion_pairs,
+                             dedupe_upto_tau, enumerate_torsion_pairs, is_quotient_closed,
                              pairs_to_markdown, tau_pair_orbit_size, torsion_lattice,
                              torsion_pairs_from_finest, validate_torsion_pair)
+
+from reference import _enumerate_torsion_pairs_brute
 
 
 def is_sub_closed(ambient, members) -> bool:
