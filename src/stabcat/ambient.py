@@ -13,8 +13,9 @@ quotient) masks the torsion-pair check tests bits against.
 
 The HN search asks `phase_quotients` only for the decompositions whose
 quotient one phase owns, below the phases the sub's chains end in.  The
-default filters `decompositions`; the sheaf models generate the admissible
-torsion spreads of a line bundle directly (`slotted_spreads`).
+default filters `decompositions`; P^1 and X(2) generate a line bundle's
+quotients only there (`slotted_spreads`) and read its `decompositions`
+back through `one_phase_quotients`.
 
 The base class also stores the spec-string name and the carrier, sorted by
 `str`.  A tube carrier member is a plain segment of length 1..2n, one of
@@ -45,6 +46,19 @@ def slotted_spreads(total: int, slots) -> list:
     for k in range(lo, (total if hi is None else min(hi, total)) + 1):
         out.extend(((key, k),) + tail for tail in slotted_spreads(total - k, rest))
     return out
+
+
+def degree_pairs(lo: int, hi: int) -> list:
+    """The pairs (c, lo + hi - c) with lo < c <= lo + hi - c < hi, ascending in
+    c: the middle-term degrees of a line family's non-split extensions."""
+    return [(c, lo + hi - c) for c in range(lo + 1, (lo + hi) // 2 + 1)]
+
+
+def one_phase_quotients(ambient, x) -> tuple:
+    """Every decomposition of x, read off `ambient.phase_quotients` with each
+    carrier member owned by phase 0 and every sub topped by phase 1."""
+    quotients = ambient.phase_quotients(x, dict.fromkeys(ambient.carrier(), 0), lambda subs: 1)
+    return tuple((subs, quots) for subs, quots, _ in quotients)
 
 
 def point_tube_slots(owners: dict) -> dict:
@@ -164,7 +178,8 @@ class Ambient:
         phase a chain of the sub multiset ends in (-1 when it has none).
         Every sub yielded has been passed to `top_of` first.  The default
         filters `decompositions(x)`, testing the quotient's phase before
-        `top_of` recurses into the sub.
+        `top_of` recurses into the sub.  An override that generates them must
+        not call `decompositions(x)`: that reads back `one_phase_quotients`.
         """
         for subs, quots in self.decompositions(x):
             p = self.owning_phase(quots, owner)

@@ -3,14 +3,16 @@
 Commands: validate, hn, finest, torsion, refine, compare, verify-table,
 oracle-check.  Output is deterministic (canonical sorting everywhere); JSON
 files round-trip exactly.  Exit codes: 0 success/match, 1 mismatch or
-invalid input data, 2 parse error, 3 window violation, 4 oracle budget,
-enumeration bound, ambient spec size limit or HN search cap exceeded.
+invalid input data or stdout closed by its reader, 2 parse error, 3 window
+violation, 4 oracle budget, enumeration bound, ambient spec size limit or HN
+search cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .ambient import AmbientError, SizeLimitError, TubeAmbient, WindowError
@@ -245,6 +247,15 @@ def main(argv=None):
             sys.exit(EXIT_PARSE)
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        code = EXIT_MISMATCH
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = exc.code

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .. import tube
-from ..ambient import Ambient, AmbientError, WindowError, positive, sample_points
+from ..ambient import Ambient, AmbientError, WindowError, degree_pairs, positive, sample_points
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -109,15 +109,9 @@ class KroneckerAmbient(Ambient):
     def _middles_actual(self, a, b):
         out = []
         if isinstance(a, KronP) and isinstance(b, KronP):
-            for c in range(a.k + 1, b.k):
-                d = a.k + b.k - c
-                if c <= d < b.k:
-                    out.append((KronP(c), KronP(d)))
+            out.extend((KronP(c), KronP(d)) for c, d in degree_pairs(a.k, b.k))
         elif isinstance(a, KronI) and isinstance(b, KronI):
-            for c in range(b.k + 1, a.k):
-                d = a.k + b.k - c
-                if b.k < c <= d < a.k:
-                    out.append((KronI(c), KronI(d)))
+            out.extend((KronI(c), KronI(d)) for c, d in degree_pairs(b.k, a.k))
         elif isinstance(a, KronP) and isinstance(b, KronR):
             for s in range(1, b.d + 1):
                 p = KronP(a.k + s)

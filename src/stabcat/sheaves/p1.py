@@ -12,8 +12,9 @@ import re
 from dataclasses import dataclass
 
 from .. import tube
-from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, point_tube_slots,
-                       positive, sample_points, slotted_spreads)
+from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
+                       one_phase_quotients, point_tube_slots, positive, sample_points,
+                       slotted_spreads)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -84,10 +85,7 @@ class P1Ambient(Ambient):
         out = []
         if isinstance(a, P1Line) and isinstance(b, P1Line):
             # 0 -> O(a) -> O(c) + O(d) -> O(b) -> 0 for a < c <= d < b
-            for c in range(a.n + 1, b.n):
-                d = a.n + b.n - c
-                if c <= d < b.n:
-                    out.append((P1Line(c), P1Line(d)))
+            out.extend((P1Line(c), P1Line(d)) for c, d in degree_pairs(a.n, b.n))
         elif isinstance(a, P1Line) and isinstance(b, P1Tor):
             # the line absorbs the bottom length s of the torsion quotient
             for s in range(1, b.t + 1):
@@ -105,12 +103,7 @@ class P1Ambient(Ambient):
         if isinstance(d, P1Tor):
             return tuple(((P1Tor(d.x, r),), (P1Tor(d.x, q),))
                          for r, q in tube.homogeneous_chain_splits(d.t))
-        out = []
-        for m in range(self.lo, d.n):
-            gap = d.n - m
-            for quot in self._torsion_spreads(gap):
-                out.append(((P1Line(m),), quot))
-        return tuple(out)
+        return one_phase_quotients(self, d)
 
     def phase_quotients(self, d, owner, top_of):
         """For a line bundle, only the torsion spreads one phase below the
@@ -130,12 +123,6 @@ class P1Ambient(Ambient):
                     break
                 for spread in slotted_spreads(d.n - m, slots[p]):
                     yield sub, tuple(P1Tor(x, k) for x, k in spread), p
-
-    def _torsion_spreads(self, gap: int):
-        """All quotients of a degree-`gap` embedding: one torsion sheaf per
-        point, lengths summing to gap."""
-        spreads = slotted_spreads(gap, [(x, 1, None) for x in self.points])
-        return [tuple(P1Tor(x, k) for x, k in s) for s in spreads if s]
 
     def hn_scope(self) -> tuple:
         out = [P1Line(n) for n in range(self.lo, self.hi + 1)]

@@ -20,8 +20,9 @@ import re
 from dataclasses import dataclass
 
 from .. import tube
-from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, point_tube_slots,
-                       positive, sample_points, slotted_spreads)
+from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
+                       one_phase_quotients, point_tube_slots, positive, sample_points,
+                       slotted_spreads)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -153,10 +154,8 @@ class X2Ambient(Ambient):
         out = []
         if isinstance(a, X2Line) and isinstance(b, X2Line):
             # no coprime section pair exists when both degree gaps are odd
-            for dz in range(a.dd + 1, b.dd):
-                dw = a.dd + b.dd - dz
-                if dz <= dw < b.dd and not ((dz - a.dd) % 2 == 1 and (dw - a.dd) % 2 == 1):
-                    out.append((line_of_dd(dz), line_of_dd(dw)))
+            out.extend((line_of_dd(dz), line_of_dd(dw)) for dz, dw in degree_pairs(a.dd, b.dd)
+                       if not ((dz - a.dd) % 2 == 1 and (dw - a.dd) % 2 == 1))
         elif isinstance(a, X2Line) and isinstance(b, X2Exc):
             for r in range(b.t):
                 if (a.dd + b.t - b.j - r) % 2 != 0:
@@ -188,14 +187,7 @@ class X2Ambient(Ambient):
         if isinstance(d, X2Ord):
             return tuple(((X2Ord(d.x, r),), (X2Ord(d.x, q),))
                          for r, q in tube.homogeneous_chain_splits(d.t))
-        out = []
-        for sub in self.internal_lines():
-            if sub.dd >= d.dd:
-                continue
-            gap = d.dd - sub.dd
-            for quot in self._torsion_spreads(gap, d.dd % 2):
-                out.append(((sub,), quot))
-        return tuple(out)
+        return one_phase_quotients(self, d)
 
     def phase_quotients(self, d, owner, top_of):
         """For a line bundle, only the torsion spreads one phase below the
@@ -223,11 +215,6 @@ class X2Ambient(Ambient):
                     break
                 for quot in self._spreads(gap, parity, exc.get(p, ()), ords.get(p, ())):
                     yield (sub,), quot, p
-
-    def _torsion_spreads(self, gap: int, exc_parity: int):
-        """All quotients of a degree-`gap` embedding."""
-        return self._spreads(gap, exc_parity, range(1, gap + 1),
-                             [(x, 1, None) for x in self.points])
 
     def _spreads(self, gap: int, exc_parity: int, exc_lengths, ord_slots) -> list:
         """Quotients of a degree-`gap` embedding: at most one exceptional

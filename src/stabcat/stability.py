@@ -402,25 +402,10 @@ def _data(ctx, chains: list) -> list:
             for c in chains]
 
 
-def tau_translate(ambient, sd: StabilityData, k: int = 1) -> StabilityData:
-    """The datum moved k steps along τ, its phases kept."""
-    ctx = ctx_for(ambient)
-    masks = _piece_masks(ctx, sd)
-    for _ in range(k):
-        masks = ctx.translate(masks)
-    return StabilityData(sd.order, dict(zip(sd.phases(), map(ctx.to_set, masks))))
-
-
 def tau_canonical(ambient, sd: StabilityData) -> StabilityData:
     """The least τ-translate of the datum (`CarrierContext.orbit`), phases 1..k."""
     ctx = ctx_for(ambient)
     return _data(ctx, [ctx.orbit(_piece_masks(ctx, sd))[1]])[0]
-
-
-def tau_canonical_key(ambient, sd: StabilityData):
-    """The index key of the least translate of the piece sequence."""
-    ctx = ctx_for(ambient)
-    return ctx.key(ctx.orbit(_piece_masks(ctx, sd))[1])
 
 
 def tau_orbit_size(ambient, sd: StabilityData) -> int:

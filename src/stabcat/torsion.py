@@ -24,10 +24,6 @@ class TorsionPair:
         return (tuple(str(m) for m in canon_members(self.t)),
                 tuple(str(m) for m in canon_members(self.f)))
 
-    def is_trivial(self, ambient) -> bool:
-        full = frozenset(ambient.carrier())
-        return (self.t == full and not self.f) or (self.f == full and not self.t)
-
     def to_json(self) -> dict:
         return {"T": [str(m) for m in canon_members(self.t)],
                 "F": [str(m) for m in canon_members(self.f)]}

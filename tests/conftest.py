@@ -1,11 +1,19 @@
 """Helpers shared by several test modules."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from stabcat import oracle
 from stabcat.phases import ExplicitOrder
 from stabcat.stability import StabilityData
 from stabcat.subcat import closure
+
+# fresh interpreters started by the tests (`python -m stabcat.cli`) import the
+# package from this checkout even when it is not installed
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def _merge_adjacent(ambient, sd, i):

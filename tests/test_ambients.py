@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from stabcat.ambient import AmbientError, TubeAmbient
+from stabcat.ambient import AmbientError, TubeAmbient, degree_pairs
 from stabcat.ambients import parse_ambient
 from stabcat.oracle import middle_terms_bruteforce
 from stabcat.sheaves import KronR, P1Tor, X2Ord
@@ -12,6 +14,15 @@ ALL_SPECS = [
     "x2:window=-2..2:points=2",
     "kronecker:window=4:points=3",
 ]
+
+
+def test_degree_pairs_match_filter():
+    """The line-family middle-term degrees against a filter over every c and d."""
+    span = range(-20, 21)
+    for lo, hi in itertools.product(range(-8, 9), repeat=2):
+        expected = [(c, d) for c, d in itertools.product(span, span)
+                    if c + d == lo + hi and lo < c <= d < hi]
+        assert degree_pairs(lo, hi) == expected, (lo, hi)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

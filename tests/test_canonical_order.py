@@ -7,8 +7,7 @@ import pytest
 
 from stabcat.ambient import TubeAmbient
 from stabcat.ambients import parse_ambient
-from stabcat.stability import (enumerate_finest, enumerate_valid, tau_canonical,
-                               tau_canonical_key, tau_orbit_size)
+from stabcat.stability import enumerate_finest, enumerate_valid, tau_canonical, tau_orbit_size
 from stabcat.subcat import ctx_for
 from stabcat.torsion import (TorsionPair, classify_tube_torsion_pairs, dedupe_upto_tau,
                              enumerate_torsion_pairs, tau_pair_canonical, tau_pair_orbit_size,
@@ -70,7 +69,7 @@ def test_finest_order_and_tau_match_str_oracle(spec):
         size, least = str_orbit(amb, sd.piece_sequence())
         assert tau_orbit_size(amb, sd) == size
         assert tau_canonical(amb, sd).piece_sequence() == least
-        assert tau_canonical_key(amb, sd) == tuple(
+        assert ctx.key(ctx.orbit(tuple(map(ctx.to_mask, sd.piece_sequence())))[1]) == tuple(
             tuple(ctx.index[m] for m in sorted(piece, key=str)) for piece in least)
         reps.setdefault(str_key(least), sd.piece_sequence())
     upto = [sd.piece_sequence() for sd in enumerate_finest(amb, upto_tau=True)]

@@ -306,20 +306,34 @@ def product_spreads_x2(points, gap, parity):
     return out
 
 
+def spreads_by_gap(amb, x, degree) -> dict:
+    """The quotients of `decompositions(x)`, in order, keyed by the degree
+    gap between x and the line subsheaf."""
+    out = {}
+    for (sub,), quot in amb.decompositions(x):
+        out.setdefault(degree(x) - degree(sub), []).append(quot)
+    return out
+
+
 @pytest.mark.parametrize("n_points", range(1, 7))
 def test_p1_spreads_match_product_filter(n_points):
-    amb = P1Ambient(0, 0, n_points)
-    for gap in range(7):
-        assert amb._torsion_spreads(gap) == product_spreads_p1(amb.points, gap)
+    amb = P1Ambient(-6, 0, n_points)
+    spreads = spreads_by_gap(amb, P1Line(0), lambda d: d.n)
+    assert sorted(spreads) == list(range(1, 7))
+    for gap, quots in spreads.items():
+        assert quots == product_spreads_p1(amb.points, gap)
 
 
 @pytest.mark.parametrize("n_points", range(1, 4))
 def test_x2_spreads_match_product_filter(n_points):
-    amb = X2Ambient(0, 0, n_points)
-    for gap in range(7):
-        for parity in (0, 1):
-            assert amb._torsion_spreads(gap, parity) == product_spreads_x2(amb.points, gap,
-                                                                           parity)
+    """O(0c+0x1) and O(0c+1x1) cover both top parities of the exceptional
+    summand."""
+    amb = X2Ambient(-3, 0, n_points)
+    for line in (X2Line(0, 0), X2Line(0, 1)):
+        spreads = spreads_by_gap(amb, line, lambda d: d.dd)
+        assert sorted(spreads) == list(range(1, line.dd - 2 * amb.inner_lo + 1))
+        for gap, quots in spreads.items():
+            assert quots == product_spreads_x2(amb.points, gap, line.dd % 2)
 
 
 def product_slotted(slots, total):

@@ -14,8 +14,7 @@ from stabcat.stability import (HNFailureError, StabilityData, StabilityError,
                                all_cuts, count_finest, cut_torsion_pair,
                                enumerate_finest, enumerate_valid, equivalent, hn_chains,
                                hn_filtration, is_coarser, is_finest, refine_to_finest,
-                               split_phase, tau_canonical_key, tau_orbit_size,
-                               tau_translate, validate)
+                               split_phase, tau_canonical, tau_orbit_size, validate)
 from stabcat.subcat import EnumerationBoundError, canon_members, closure, left_perp, right_perp
 from stabcat.torsion import TorsionError, torsion_lattice
 from stabcat.tube import TubeIndec
@@ -211,13 +210,12 @@ def test_equivalent_relabeling():
 
 
 def test_tau_translate_not_equivalent_but_same_orbit():
-    from stabcat.stability import tau_canonical_key
-
     t3 = TubeAmbient(3)
-    sd = enumerate_finest(t3)[0]
-    shifted = tau_translate(t3, sd, 1)
-    assert not equivalent(sd, shifted)
-    assert tau_canonical_key(t3, sd) == tau_canonical_key(t3, shifted)
+    ctx = subcat.ctx_for(t3)
+    masks = tuple(map(ctx.to_mask, enumerate_finest(t3)[0].piece_sequence()))
+    shifted = ctx.translate(masks)
+    assert shifted != masks
+    assert ctx.orbit(shifted) == ctx.orbit(masks)
 
 
 def test_datum_canonical_when_built():
@@ -238,21 +236,22 @@ def test_datum_canonical_when_built():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_tau_orbit_ignores_empty_phases(n):
-    """An empty phase changes neither the τ-orbit size nor the τ-canonical
-    key: the one-piece datum is τ-fixed with or without it."""
+    """An empty phase changes neither the τ-orbit size nor the least
+    τ-translate: the one-piece datum is τ-fixed with or without it."""
     amb = TubeAmbient(n)
     one, empty = Phase.integer(1), Phase.label("e")
     whole = StabilityData(ExplicitOrder([one]), {one: frozenset(amb.carrier())})
     padded = StabilityData(ExplicitOrder([empty, one]),
                            {empty: frozenset(), one: frozenset(amb.carrier())})
     assert tau_orbit_size(amb, whole) == tau_orbit_size(amb, padded) == 1
-    assert tau_canonical_key(amb, padded) == tau_canonical_key(amb, whole)
+    assert tau_canonical(amb, padded).piece_sequence() == whole.piece_sequence()
     for sd in enumerate_finest(amb):
         phases = sd.phases()
         order = ExplicitOrder(phases[:1] + (empty,) + phases[1:])
         with_empty = StabilityData(order, {**sd.pieces, empty: frozenset()})
         assert tau_orbit_size(amb, with_empty) == tau_orbit_size(amb, sd)
-        assert tau_canonical_key(amb, with_empty) == tau_canonical_key(amb, sd)
+        assert tau_canonical(amb, with_empty).piece_sequence() == \
+            tau_canonical(amb, sd).piece_sequence()
 
 
 def test_cut_examples():

@@ -144,7 +144,8 @@ def test_classifier_matches_bruteforce():
 def test_classifier_t1_trivial_only():
     pairs = classify_tube_torsion_pairs(1, include_trivial=True)
     assert len(pairs) == 2
-    assert all(p.is_trivial(TubeAmbient(1)) for p in pairs)
+    full = frozenset(TubeAmbient(1).carrier())
+    assert {(p.t, p.f) for p in pairs} == {(full, frozenset()), (frozenset(), full)}
     assert classify_tube_torsion_pairs(1) == []
 
 
