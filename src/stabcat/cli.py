@@ -3,9 +3,10 @@
 Commands: validate, hn, finest, torsion, refine, compare, verify-table,
 oracle-check.  Output is deterministic (canonical sorting everywhere); JSON
 files round-trip exactly.  Exit codes: 0 success/match, 1 mismatch or
-invalid input data or stdout closed by its reader, 2 parse error, 3 window
-violation, 4 oracle budget, enumeration bound, ambient spec size limit or HN
-search cap exceeded.
+invalid input data or stdout closed by its reader, 2 parse error or a
+`STABCAT_BUDGET` that is not a non-negative integer, 3 window violation,
+4 oracle budget, enumeration bound, ambient spec size limit or HN search
+cap exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .ambient import AmbientError, SizeLimitError, TubeAmbient, WindowError
 from .ambients import parse_ambient
 from .checks import SUITES, run_suite
 from .intervals import IntervalError
-from .oracle import BudgetExceededError
+from .oracle import BudgetExceededError, BudgetSettingError, budget_limit
 from .phases import OrderError
 from .stability import (FormatError, StabilityData, enumerate_finest, equivalent,
                         hn_filtration, is_coarser, refine_to_finest, tau_orbit_size, validate)
@@ -174,6 +175,7 @@ def cmd_oracle_check(args):
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}", EXIT_PARSE)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    budget_limit()  # a bad STABCAT_BUDGET fails before the first suite, used or not
     worst = EXIT_OK
     for name in names:
         try:
@@ -259,6 +261,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = exc.code
+    except BudgetSettingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         code = EXIT_BUDGET

@@ -15,17 +15,22 @@ whether a pair of end terms occurs is read from one resumable sweep over
 the submodules of each candidate E per dimension vector: the sweep records
 each pair of sub and quotient classes it passes, stops at the first match,
 and the next query with the same E and dimension vector, whatever its A and
-B, looks among the recorded pairs first and resumes where it stopped.
-Everything the oracle learns is kept in one memo per (shape, p) for the
-life of the process; `clear` forgets it all.
+B, looks among the recorded pairs first and resumes where it stopped.  The
+sweep takes every subspace in reduced row echelon form and reads the rest
+off its pivots: an arrow keeps a subspace tuple when each image row of the
+source basis reduces to zero against the target rows at their pivots, the
+sub's map coordinates are the image rows' entries at the target pivots, and
+the quotient has the standard vectors off the pivots as its basis.  The Hom
+table of each length reads, by descriptor, every Hom dimension that a table
+built before it holds.  Everything the oracle learns is kept in one memo
+per (shape, p) for the life of the process; `clear` forgets it all.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from itertools import islice, product
-from math import lcm, prod
+from math import gcd, prod
 
 from . import gf
 from .intervals import IntervalModule, all_intervals
@@ -46,9 +51,20 @@ class UnsupportedShapeError(OracleError):
     pass
 
 
+class BudgetSettingError(OracleError):
+    pass
+
+
 def budget_limit() -> int:
+    """The enumeration budget: `STABCAT_BUDGET`, which must be a
+    non-negative integer in decimal digits, or DEFAULT_BUDGET when it is
+    unset or empty."""
     raw = os.environ.get("STABCAT_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    if not (raw.isascii() and raw.isdigit()):
+        raise BudgetSettingError(f"STABCAT_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 # -- shapes -------------------------------------------------------------
@@ -331,44 +347,61 @@ class _HomTable:
     """The indecomposables of length <= some bound for one (shape, p), by
     position i: descs[i], pos[descs[i]] = i, reps[i] its representation,
     hom[i][j] = dim Hom(descs[i], descs[j]), cols[j][i] = hom[i][j], and
-    (inv, den) = `_invert(hom)` for decomposition by fingerprint."""
+    (inv, den) = `_invert(hom)` for decomposition by fingerprint.
 
-    def __init__(self, shape, p: int, length: int):
+    The Hom dimension of a pair that the table `known` holds is looked up
+    there by descriptor, not computed again."""
+
+    def __init__(self, shape, p: int, length: int, known=None):
         self.descs = tuple(_universe(shape, length))
         self.pos = {d: i for i, d in enumerate(self.descs)}
         self.reps = tuple(build_indec(shape, d, p) for d in self.descs)
-        self.hom = tuple(tuple(hom_dim(r1, r2) for r2 in self.reps) for r1 in self.reps)
+        at = known.pos if known else {}
+        self.hom = tuple(tuple(known.hom[at[d1]][at[d2]] if d1 in at and d2 in at
+                               else hom_dim(r1, r2) for d2, r2 in zip(self.descs, self.reps))
+                         for d1, r1 in zip(self.descs, self.reps))
         self.cols = tuple(zip(*self.hom))
         self.inv, self.den = _invert(self.hom)
 
 
 def _hom_table(shape, p: int, length: int) -> _HomTable:
     tables = _memo(shape, p).tables
-    return tables.get(length) or tables.setdefault(length, _HomTable(shape, p, length))
+    if length not in tables:
+        # the universes grow with the length, so the largest table holds
+        # every pair that any table holds
+        tables[length] = _HomTable(shape, p, length, tables[max(tables)] if tables else None)
+    return tables[length]
 
 
 def _invert(matrix):
     """(inv, den) with inv / den the inverse of the square integer matrix A:
     inv is an integer matrix and den a positive integer.  For a Hom table A,
     a module with multiplicities m has the fingerprint b = A m, so
-    m = inv b / den.  Raises OracleError if A is singular."""
+    m = inv b / den.  Raises OracleError if A is singular.
+
+    Fraction-free Gauss-Jordan elimination of [A | I] over the integers:
+    after step k the array is d_k times what ordinary Gauss-Jordan gives,
+    d_k the k-th pivot (the determinant of the first k pivot rows and
+    columns), so its entries are minors of [A | I] up to sign and each
+    division by the previous pivot is exact; at the end [A | I] has become
+    [d I | d A^-1] with d the last pivot."""
     n = len(matrix)
-    # exact Gauss-Jordan elimination of [A | I]
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    d = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise OracleError("fingerprint system is singular; raise the length bound")
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        top, pivot = a[col], a[col][col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    den = lcm(*(x.denominator for row in a for x in row[n:]))
-    return tuple(tuple(int(x * den) for x in row[n:]) for row in a), den
+            if r != col:
+                f = a[r][col]
+                a[r] = [(pivot * x - f * y) // d for x, y in zip(a[r], top)]
+        d = pivot
+    g = gcd(d, *(x for row in a for x in row[n:]))
+    sign = 1 if d > 0 else -1
+    return tuple(tuple(sign * x // g for x in row[n:]) for row in a), abs(d) // g
 
 
 def _solve_fingerprint(descs, inv, den, b):
@@ -541,45 +574,75 @@ def _gauss_count(d: int, k: int, p: int) -> int:
     return num // den
 
 
+def _pivots(basis):
+    """Pivot columns of an RREF row basis: each row's leading entry is 1."""
+    return [row.index(1) for row in basis]
+
+
+def _reduce(v, basis, pivots, p: int):
+    """v minus its combination of the RREF rows `basis` read off at their
+    pivots: zero exactly when v lies in their span, and otherwise zero at
+    every pivot (each row is 0 at the other rows' pivots)."""
+    for c, row in zip(pivots, basis):
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return v
+
+
 def _submodules_with_dims(e_rep: QuiverRep, dims_query, start: int = 0):
     """(index, bases) for each arrow-stable subspace tuple of e_rep with the
-    given dimension vector, bases a per-vertex row-basis matrix.  The index
-    counts every subspace combo in `product` order, stable or not; the
-    enumeration begins at combo `start`."""
+    given dimension vector, bases a per-vertex row-basis matrix in RREF.
+    The index counts every subspace combo in `product` order, stable or not;
+    the enumeration begins at combo `start`.
+
+    An arrow keeps the tuple when each image row of the source basis reduces
+    to zero against the target's RREF rows at their pivots.  The image of a
+    source subspace is computed once and shared by every combo holding it."""
     p = e_rep.p
     verts = vertices(e_rep.shape)
     per_vertex = [list(gf.subspaces_fixed(e_rep.dims[v], dims_query[v], p)) for v in verts]
-    combos = islice(product(*per_vertex), start, None)
+    pivots = [[_pivots(basis) for basis in subs] for subs in per_vertex]
+    slot = {v: k for k, v in enumerate(verts)}
+    # (source slot, target slot, map, images of the source subspaces by index)
+    tests = [(slot[src], slot[tgt], e_rep.maps[key], {})
+             for key, src, tgt in arrows(e_rep.shape) if dims_query[src]]
+    combos = islice(product(*(range(len(subs)) for subs in per_vertex)), start, None)
     for index, combo in enumerate(combos, start):
-        bases = dict(zip(verts, combo))
-        stable = True
-        for key, src, tgt in arrows(e_rep.shape):
-            if not bases[src]:
-                continue
-            image = gf.matvecs(e_rep.maps[key], bases[src], p)
-            tgt_basis = bases[tgt]
-            if gf.rank(tgt_basis + image, p) > len(tgt_basis):
-                stable = False
+        for s, t, m, images in tests:
+            i, j = combo[s], combo[t]
+            if i not in images:
+                images[i] = gf.matvecs(m, per_vertex[s][i], p)
+            if any(any(_reduce(v, per_vertex[t][j], pivots[t][j], p)) for v in images[i]):
                 break
-        if stable:
-            yield index, bases
+        else:
+            yield index, {v: subs[i] for v, subs, i in zip(verts, per_vertex, combo)}
 
 
 def _sub_and_quotient(e_rep: QuiverRep, bases):
-    """(submodule rep, quotient rep) for a stable subspace tuple."""
+    """(submodule rep, quotient rep) for a stable subspace tuple whose bases
+    are in RREF.
+
+    The sub has the basis rows as its basis, and the coordinates of an
+    image row are its entries at the target's pivots.  The quotient has the
+    standard vectors off the pivots as its basis: an arrow sends e_i to
+    column i of E's map reduced modulo the target subspace, read off at the
+    target's non-pivot entries."""
     p = e_rep.p
     verts = vertices(e_rep.shape)
-    dims = {v: len(bases[v]) for v in verts}
-    inclusion = {v: gf.transpose(bases[v], e_rep.dims[v]) for v in verts}
-    maps = {}
+    pivots = {v: _pivots(bases[v]) for v in verts}
+    rest = {v: [i for i in range(e_rep.dims[v]) if i not in pivots[v]] for v in verts}
+    sub_maps, quot_maps = {}, {}
     for key, src, tgt in arrows(e_rep.shape):
-        image = gf.matvecs(e_rep.maps[key], bases[src], p)
-        coords = gf.solve_many(inclusion[tgt], image, dims[tgt], p)
-        if coords is None:
-            raise OracleError("submodule basis is not arrow-stable")
-        maps[key] = gf.transpose(coords, dims[tgt])
-    sub_rep = QuiverRep(e_rep.shape, p, dims, maps, check=False)
-    return sub_rep, cokernel_rep(inclusion, sub_rep, e_rep)
+        m, basis = e_rep.maps[key], bases[tgt]
+        at_pivots = [m[c] for c in pivots[tgt]]
+        sub_maps[key] = [[sum(x * y for x, y in zip(r, b)) % p for b in bases[src]]
+                         for r in at_pivots]
+        quot_maps[key] = [[(m[j][i] - sum(r[i] * row[j] for r, row in zip(at_pivots, basis))) % p
+                           for i in rest[src]] for j in rest[tgt]]
+    sub_rep = QuiverRep(e_rep.shape, p, {v: len(bases[v]) for v in verts}, sub_maps, check=False)
+    quot_dims = {v: len(rest[v]) for v in verts}
+    return sub_rep, QuiverRep(e_rep.shape, p, quot_dims, quot_maps, check=False)
 
 
 def _has_sub_quotient(shape, p: int, e_multiset, dims_query, pair) -> bool:
@@ -652,22 +715,26 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
         if peak and peak > budget_limit():
             _check_budget(needs, a_multiset, b_multiset)
         return result
-    a_rep = direct_sum([build_indec(shape, d, p) for d in a_multiset])
-    b_rep = direct_sum([build_indec(shape, d, p) for d in b_multiset])
+    if not (a_multiset and b_multiset):
+        raise OracleError("empty direct sum")
     verts = vertices(shape)
-    target = tuple((v, a_rep.dims[v] + b_rep.dims[v]) for v in verts)
+    reps = {d: build_indec(shape, d, p) for d in a_multiset + b_multiset}
+    a_dims, b_dims = ({v: sum(reps[d].dims[v] for d in ms) for v in verts}
+                      for ms in (a_multiset, b_multiset))
+    target = tuple((v, a_dims[v] + b_dims[v]) for v in verts)
     split = tuple(sorted(a_multiset + b_multiset, key=str))
-    dims_query = tuple(sorted(a_rep.dims.items()))
+    dims_query = tuple(sorted(a_dims.items()))
     e_dims = dict(target)  # every candidate E has this dimension vector
-    by_maps = len(a_multiset) == 1
-    table = _hom_table(shape, p, a_rep.total_dim() + b_rep.total_dim())
+    # an indecomposable A is swept map by map, and needs no direct sum
+    a_rep = reps[a_multiset[0]] if len(a_multiset) == 1 else None
+    table = _hom_table(shape, p, sum(e_dims.values()))
     a_idx, b_idx = ([table.pos[d] for d in ms] for ms in (a_multiset, b_multiset))
     a_prof, b_prof = _hom_profile(table, a_idx), _hom_profile(table, b_idx)
     found, needs = set(), []
     for cand, into, out in _candidates(shape, p, target):
         if cand == split or not _hom_bounds_admit((into, out), a_prof, b_prof, a_idx, b_idx):
             continue
-        if by_maps:
+        if a_rep is not None:
             e_rep = direct_sum([build_indec(shape, d, p) for d in cand])
             basis = hom_basis(a_rep, e_rep)
             r = len(basis)

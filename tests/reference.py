@@ -9,7 +9,13 @@ Each function is the slow, descriptor-level path a fast path replaced:
   (`_enumerate_torsion_pairs_brute`) for `enumerate_torsion_pairs`;
 - the subset filter (`enumerate_ext_closed_by_filter`) for `enumerate_ext_closed`;
 - the torsion-pair check on descriptor sets (`validate_torsion_pair`,
-  `_decomposes`, `is_quotient_closed`) for the bit tests of `stabcat.torsion`.
+  `_decomposes`, `is_quotient_closed`) for the bit tests of `stabcat.torsion`;
+- the rank test of every subspace combo (`_submodules_reference`) for the
+  oracle's echelon-form sweep `_submodules_with_dims`, and the sub and
+  quotient by `solve_many` and `cokernel_rep` (`_sub_and_quotient_reference`)
+  for `_sub_and_quotient`, which reads both off the pivots;
+- Gauss-Jordan elimination over `Fraction`s (`_invert_reference`) for the
+  oracle's fraction-free `_invert`.
 
 They run on small carriers only and are imported by the tests alone.
 """
@@ -17,13 +23,17 @@ They run on small carriers only and are imported by the tests alone.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
+from stabcat import gf, oracle
 from stabcat.phases import ExplicitOrder, Phase
 from stabcat.stability import (_HN_COMBO_CAP, StabilityData, StabilityError, _piece_masks,
                                is_finest, validate)
 from stabcat.subcat import (EnumerationBoundError, SubcatError, canon_members, ctx_for,
                             enumerate_ext_closed, left_perp, right_perp)
 from stabcat.torsion import TorsionReport, _pairs
+
 
 def _hn_chains_reference(ambient, sd: StabilityData, x) -> tuple:
     """Test oracle for `hn_chains`: the descriptor-based search with a fresh
@@ -226,3 +236,71 @@ def enumerate_ext_closed_by_filter(ambient, bound: int = 16) -> list:
         raise SubcatError(f"carrier size {n} exceeds filter-enumeration bound {bound}")
     closed = [m for m in range(1 << n) if ctx.is_closed_mask(m)]
     return [ctx.to_set(m) for m in sorted(closed, key=lambda m: (m.bit_count(), ctx.key((m,))))]
+
+
+def _submodules_reference(e_rep, dims_query):
+    """(index, bases) for every arrow-stable subspace tuple of e_rep with the
+    given dimension vector, bases per-vertex row-basis matrices and index
+    the combo's position in `product` order: the eager reference for the
+    resumable sweep, testing each arrow of each combo by a rank."""
+    p = e_rep.p
+    verts = oracle.vertices(e_rep.shape)
+    per_vertex = []
+    for v in verts:
+        per_vertex.append(list(gf.subspaces_fixed(e_rep.dims[v], dims_query[v], p)))
+    out = []
+    for index, combo in enumerate(itertools.product(*per_vertex)):
+        bases = dict(zip(verts, combo))
+        stable = True
+        for key, src, tgt in oracle.arrows(e_rep.shape):
+            if not bases[src]:
+                continue
+            image = gf.matvecs(e_rep.maps[key], bases[src], p)
+            tgt_basis = bases[tgt]
+            if gf.rank(tgt_basis + image, p) > len(tgt_basis):
+                stable = False
+                break
+        if stable:
+            out.append((index, bases))
+    return out
+
+
+def _sub_and_quotient_reference(e_rep, bases):
+    """(submodule rep, quotient rep) for a stable subspace tuple: the sub's
+    coordinates by `solve_many` and the quotient by `cokernel_rep` of the
+    inclusion."""
+    p = e_rep.p
+    verts = oracle.vertices(e_rep.shape)
+    dims = {v: len(bases[v]) for v in verts}
+    inclusion = {v: gf.transpose(bases[v], e_rep.dims[v]) for v in verts}
+    maps = {}
+    for key, src, tgt in oracle.arrows(e_rep.shape):
+        image = gf.matvecs(e_rep.maps[key], bases[src], p)
+        coords = gf.solve_many(inclusion[tgt], image, dims[tgt], p)
+        if coords is None:
+            raise oracle.OracleError("submodule basis is not arrow-stable")
+        maps[key] = gf.transpose(coords, dims[tgt])
+    sub_rep = oracle.QuiverRep(e_rep.shape, p, dims, maps, check=False)
+    return sub_rep, oracle.cokernel_rep(inclusion, sub_rep, e_rep)
+
+
+def _invert_reference(matrix):
+    """(inv, den) with inv / den the inverse of the square integer matrix,
+    den the least common denominator, by Gauss-Jordan elimination over
+    `Fraction`s; raises OracleError if the matrix is singular."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise oracle.OracleError("fingerprint system is singular; raise the length bound")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    den = lcm(*(x.denominator for row in a for x in row[n:]))
+    return tuple(tuple(int(x * den) for x in row[n:]) for row in a), den

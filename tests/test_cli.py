@@ -110,6 +110,19 @@ def test_budget_holds_after_a_warm_run():
                           "(A = S0^(1)@1, B = S0^(1)@1, E = S0^(2)@1)\n")
 
 
+@pytest.mark.parametrize("budget", ["abc", "1e6", "-5"])
+def test_bad_budget_setting_exit_two(budget):
+    """A STABCAT_BUDGET that is not a non-negative integer: exit 2 with one
+    error line naming the variable and the value, before the first suite,
+    even for a suite that never checks the budget."""
+    env = dict(os.environ, STABCAT_BUDGET=budget)
+    out = subprocess.run([sys.executable, "-m", "stabcat.cli", "oracle-check", "tube-hom"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == ("error: STABCAT_BUDGET must be a non-negative integer, "
+                          f"got {budget!r}\n")
+
+
 @pytest.mark.parametrize("spec, size", [
     ("an:99999999999999999999", 4999999999999999999950000000000000000000),
     ("tube:13", 338),

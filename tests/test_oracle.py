@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from reference import _invert_reference, _sub_and_quotient_reference, _submodules_reference
 from stabcat import gf, oracle
 from stabcat.intervals import IntervalModule
 from stabcat.tube import TubeIndec
@@ -244,6 +245,63 @@ def test_hom_bounds_prune_before_linear_algebra(monkeypatch, empty_oracle):
     assert strs(got) == {("S0^(4)@1",), ("S0^(1)@1", "S0^(3)@1")}
 
 
+def test_fraction_free_inverse_agrees_with_fractions(empty_oracle):
+    """`_invert` gives the reference's (inv, den) on every Hom table of the
+    cyclic shapes up to length 6 and the linear ones up to 4, and on random
+    integer matrices, whose pivots need row swaps and have either sign; a
+    singular matrix raises in both."""
+    import random
+
+    matrices = [oracle._hom_table(("cyclic", n), 2, length).hom
+                for n in (1, 2, 3) for length in range(1, 7)]
+    matrices += [oracle._hom_table(("linear", n), 2, n).hom for n in (1, 2, 3, 4)]
+    rng = random.Random(5)
+    matrices += [[[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+                 for k in (1, 2, 3, 4, 6) for _ in range(60)]
+    singular = 0
+    for m in matrices:
+        try:
+            expected = _invert_reference(m)
+        except oracle.OracleError:
+            singular += 1
+            with pytest.raises(oracle.OracleError, match="singular"):
+                oracle._invert(m)
+            continue
+        assert oracle._invert(m) == expected, m
+    assert 0 < singular < 100
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+def test_hom_tables_share_dims_by_descriptor(monkeypatch, increasing):
+    """Hom tables built from an empty oracle, by increasing or by decreasing
+    length, hold the Hom dimension of every pair, and compute each one once:
+    a table reads what an earlier table holds by descriptor, whatever the
+    positions."""
+    computed = []
+    hom_dim = oracle.hom_dim
+
+    def counting(r1, r2):
+        computed.append((r1, r2))
+        return hom_dim(r1, r2)
+
+    for shape, max_len in [(("cyclic", 1), 6), (("cyclic", 2), 6), (("cyclic", 3), 6),
+                           (("linear", 3), 3), (("linear", 4), 4)]:
+        for p in (2, 3):
+            monkeypatch.setattr(oracle, "_MEMO", {})
+            monkeypatch.setattr(oracle, "hom_dim", counting)
+            computed.clear()
+            lengths = range(1, max_len + 1)
+            for length in (lengths if increasing else reversed(lengths)):
+                oracle._hom_table(shape, p, length)
+            monkeypatch.setattr(oracle, "hom_dim", hom_dim)
+            tables = oracle._MEMO[shape, p].tables
+            assert len(computed) == len(tables[max_len].descs) ** 2, (shape, p)
+            for table in tables.values():
+                for (d1, r1), row in zip(zip(table.descs, table.reps), table.hom):
+                    for (d2, r2), dim in zip(zip(table.descs, table.reps), row):
+                        assert dim == hom_dim(r1, r2), (shape, p, str(d1), str(d2))
+
+
 def test_socle_dims():
     rep = oracle.build_indec(("cyclic", 2), TubeIndec(2, 0, 2), 2)
     assert oracle.socle_dims(rep) == {0: 0, 1: 1}
@@ -345,41 +403,13 @@ def test_multisets_up_to_length_leaves_no_cycle():
         gc.enable()
 
 
-def _submodules_reference(e_rep, dims_query):
-    """Every arrow-stable subspace tuple of e_rep with the given dimension
-    vector, as per-vertex row-basis matrices: the eager reference for the
-    resumable sweep."""
-    from itertools import product as iproduct
-
-    p = e_rep.p
-    verts = oracle.vertices(e_rep.shape)
-    per_vertex = []
-    for v in verts:
-        per_vertex.append(list(gf.subspaces_fixed(e_rep.dims[v], dims_query[v], p)))
-    out = []
-    for combo in iproduct(*per_vertex):
-        bases = dict(zip(verts, combo))
-        stable = True
-        for key, src, tgt in oracle.arrows(e_rep.shape):
-            if not bases[src]:
-                continue
-            image = gf.matvecs(e_rep.maps[key], bases[src], p)
-            tgt_basis = bases[tgt]
-            if gf.rank(tgt_basis + image, p) > len(tgt_basis):
-                stable = False
-                break
-        if stable:
-            out.append(bases)
-    return out
-
-
 def _sub_quotient_classes_reference(shape, p, e_multiset, dims_query):
     """Isomorphism classes (decompose(sub), decompose(E/sub)) over all
     submodules of ⊕E with the given dimension vector."""
     e_rep = oracle.direct_sum([oracle.build_indec(shape, d, p) for d in e_multiset])
     classes = set()
-    for bases in _submodules_reference(e_rep, dict(dims_query)):
-        sub_rep, coker_rep = oracle._sub_and_quotient(e_rep, bases)
+    for _, bases in _submodules_reference(e_rep, dict(dims_query)):
+        sub_rep, coker_rep = _sub_and_quotient_reference(e_rep, bases)
         classes.add((oracle.decompose(sub_rep), oracle.decompose(coker_rep)))
     return frozenset(classes)
 
@@ -422,6 +452,58 @@ def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, empty_oracle,
         indices = visits.get(key, [])
         assert indices == sorted(set(indices)), key
         assert len(indices) == len(_submodules_reference(e_rep, dict(key[3]))), key
+
+
+def _assert_sweep_agrees_with_reference(shape, p, e_multiset, dims_query):
+    """The echelon-form sweep passes the reference's (index, bases) in its
+    order, and resumed at the last one passes only that; each sub rep equals
+    the reference's, and the quotient, on another complement, decomposes
+    alike."""
+    e_rep = oracle.direct_sum([oracle.build_indec(shape, d, p) for d in e_multiset])
+    dims = dict(dims_query)
+    reference = _submodules_reference(e_rep, dims)
+    key = (shape, p, e_multiset, dims_query)
+    assert list(oracle._submodules_with_dims(e_rep, dims)) == reference, key
+    if reference:
+        assert list(oracle._submodules_with_dims(e_rep, dims, reference[-1][0])) == reference[-1:]
+    for _, bases in reference:
+        sub, quotient = oracle._sub_and_quotient(e_rep, bases)
+        ref_sub, ref_quotient = _sub_and_quotient_reference(e_rep, bases)
+        assert (sub.dims, sub.maps) == (ref_sub.dims, ref_sub.maps), (key, bases)
+        assert quotient.dims == ref_quotient.dims, (key, bases)
+        assert oracle.decompose(quotient) == oracle.decompose(ref_quotient), (key, bases)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_echelon_sweep_agrees_with_rank_reference_on_closure_keys(monkeypatch, empty_oracle, n, p):
+    """Every (E, dims) sweep that the T_n closure suite over GF(p) asks."""
+    from stabcat import checks
+
+    keys, has = {}, oracle._has_sub_quotient
+
+    def record(shape, p_, e_multiset, dims_query, pair):
+        keys.setdefault((shape, p_, e_multiset, dims_query), None)
+        return has(shape, p_, e_multiset, dims_query, pair)
+
+    monkeypatch.setattr(oracle, "_has_sub_quotient", record)
+    assert checks.check_tube_closure(n, p=p).ok
+    assert len(keys) > 400
+    for key in keys:
+        _assert_sweep_agrees_with_reference(*key)
+
+
+def test_echelon_sweep_agrees_with_rank_reference_over_gf5():
+    """A few middle terms over GF(5), on the tube and the linear quiver."""
+    s = {(j, t): TubeIndec(2, j, t) for j in range(2) for t in range(1, 4)}
+    m = {(a, b): IntervalModule(3, a, b) for a in range(1, 4) for b in range(a, 4)}
+    cases = [(("cyclic", 2), (s[0, 1], s[1, 2]), ((0, 1), (1, 0))),
+             (("cyclic", 2), (s[0, 2], s[1, 2]), ((0, 1), (1, 1))),
+             (("cyclic", 2), (s[0, 1], s[0, 3]), ((0, 1), (1, 1))),
+             (("cyclic", 2), (s[1, 1], s[1, 1], s[0, 2]), ((0, 1), (1, 2))),
+             (("linear", 3), (m[1, 3], m[2, 2]), ((1, 0), (2, 1), (3, 1))),
+             (("linear", 3), (m[1, 2], m[2, 3], m[2, 2]), ((1, 0), (2, 2), (3, 1)))]
+    for shape, e_multiset, dims_query in cases:
+        _assert_sweep_agrees_with_reference(shape, 5, e_multiset, dims_query)
 
 
 def _sums_up_to(members, lengths, max_total, start=0, acc=(), total=0):
