@@ -2,14 +2,18 @@
 hom / extension / subobject data every engine consumes.
 
 The base class owns the extension sweep: a carrier member may stand for a
-periodic family of actual objects (`_instances`), and `middle_terms` and
-`carrier_decompositions` sweep those instances through the model's rules on
-actual objects (`_middles_actual`, `decompositions`), embed the results in
+periodic family of actual objects (`_instances`), and `embedded_middles`
+and `carrier_decompositions` sweep those instances through the model's rules
+on actual objects (`_middles_actual`, `decompositions`), embed the results in
 the carrier and keep the ones inside it (`_in_carrier`).  A model supplies
 those rules, not the sweep.  Neither is memoised: the carrier context
-(`subcat.ctx_for`) reads each middle term once and keeps it as bitmasks,
-and reads each member's decompositions once, on first use, as the (sub,
-quotient) masks the torsion-pair check tests bits against.
+(`subcat.ctx_for`) ORs the components `embedded_middles` yields straight
+into its bitmask table, one row per τ-orbit, and `middle_terms` reads the
+same generator as sorted multisets.  The context reads each member's
+decompositions once, on first use, as the (sub, quotient) masks the
+torsion-pair check tests bits against; for P^1 and X(2) line bundles it
+reads them as length classes (`spread_splits`, `class_spreads`), one
+quotient per feasible class choice, not per torsion spread.
 
 The HN search asks `phase_quotients` only for the decompositions whose
 quotient one phase owns, below the phases the sub's chains end in.  The
@@ -26,6 +30,8 @@ live in stabcat.sheaves.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from . import tube
 from .intervals import (all_intervals, chain_splits_interval, hom_nonzero_interval,
@@ -45,6 +51,30 @@ def slotted_spreads(total: int, slots) -> list:
     out = slotted_spreads(total, rest)
     for k in range(lo, (total if hi is None else min(hi, total)) + 1):
         out.extend(((key, k),) + tail for tail in slotted_spreads(total - k, rest))
+    return out
+
+
+def class_spreads(total: int, slots) -> list:
+    """The supports of `slotted_spreads` seen up to length classes: `slots` is
+    a sequence of option tuples, one per key, each option (item, lo, step)
+    standing for the lengths lo, lo + step, lo + 2 step, ... (step 0: lo
+    alone).  Each key takes no option or one; a choice is kept when its
+    lengths can sum to `total`: its lo's sum to at most `total` and the rest
+    is a multiple of the gcd of its steps, which is exact as every step is
+    0, 1 or 2.  Each kept choice is the tuple of its items."""
+    out = []
+
+    def walk(k: int, left: int, step: int, chosen: tuple) -> None:
+        if k == len(slots):
+            if left == 0 or (step and left % step == 0):
+                out.append(chosen)
+            return
+        walk(k + 1, left, step, chosen)
+        for item, lo, st in slots[k]:
+            if lo <= left:
+                walk(k + 1, left - lo, gcd(step, st), chosen + (item,))
+
+    walk(0, total, 0, ())
     return out
 
 
@@ -138,19 +168,22 @@ class Ambient:
         """Whether an embedded object lies in the carrier."""
         return True
 
-    def middle_terms(self, a, b) -> frozenset:
-        """Middle-term multisets of a and b over all their instances, in
-        carrier space; multisets leaving the carrier are dropped."""
+    def embedded_middles(self, a, b):
+        """Each middle-term multiset of a and b over all their instances, as
+        a list of carrier members; multisets leaving the carrier are dropped,
+        and one may come more than once."""
         embed, keep = self.embed, self._in_carrier
         b_instances = self._instances(b)
-        out = set()
         for ai in self._instances(a):
             for bi in b_instances:
                 for ms in self._middles_actual(ai, bi):
                     emb = [embed(c) for c in ms]
                     if all(map(keep, emb)):
-                        out.add(tuple(sorted(emb, key=str)))
-        return frozenset(out)
+                        yield emb
+
+    def middle_terms(self, a, b) -> frozenset:
+        """The distinct `embedded_middles` of a and b, each sorted by `str`."""
+        return frozenset(tuple(sorted(ms, key=str)) for ms in self.embedded_middles(a, b))
 
     def decompositions(self, x) -> tuple:
         """Proper (subobject multiset, quotient multiset) pairs of the
@@ -203,6 +236,14 @@ class Ambient:
             for subs, quots in self.decompositions(inst):
                 seen[(tuple(map(embed, subs)), tuple(map(embed, quots)))] = None
         return tuple(seen)
+
+    def spread_splits(self, x):
+        """For a member whose decompositions are a line sub with a torsion
+        quotient spread over length classes: one (subs, total, slots) per
+        sub, whose quotient supports are `class_spreads(total, slots)`, with
+        carrier members as the items.  None for every other member, whose
+        pairs `carrier_decompositions` gives."""
+        return None
 
     def tau(self, x):
         return None

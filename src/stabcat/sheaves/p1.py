@@ -124,6 +124,14 @@ class P1Ambient(Ambient):
                 for spread in slotted_spreads(d.n - m, slots[p]):
                     yield sub, tuple(P1Tor(x, k) for x, k in spread), p
 
+    def spread_splits(self, d):
+        """A line bundle's quotient by O(m) spreads the gap over the points,
+        each summand of length 1 or at least 2 (S_x^(1) or S_x^(2))."""
+        if not isinstance(d, P1Line):
+            return None
+        slots = tuple(((P1Tor(x, 1), 1, 0), (P1Tor(x, 2), 2, 1)) for x in self.points)
+        return [((P1Line(m),), d.n - m, slots) for m in range(self.lo, d.n)]
+
     def hn_scope(self) -> tuple:
         out = [P1Line(n) for n in range(self.lo, self.hi + 1)]
         out += [P1Tor(x, t) for x in self.points for t in (1, 2, 3)]

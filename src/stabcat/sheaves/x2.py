@@ -234,6 +234,18 @@ class X2Ambient(Ambient):
                     spreads.append(head + tuple(X2Ord(x, k) for x, k in spread))
         return spreads
 
+    def spread_splits(self, d):
+        """A line bundle's quotient by a line sub spreads the degree gap: at
+        most one exceptional summand of top parity dd mod 2 and length 1, 2,
+        odd >= 3 or even >= 4 (embedded S^(1)..S^(4)), and ordinary summands
+        of length 1 or at least 2, each length counting twice."""
+        if not isinstance(d, X2Line):
+            return None
+        parity = d.dd % 2
+        slots = (tuple((X2Exc(parity, t), t, 0 if t < 3 else 2) for t in (1, 2, 3, 4)),)
+        slots += tuple(((X2Ord(x, 1), 2, 0), (X2Ord(x, 2), 4, 2)) for x in self.points)
+        return [((sub,), d.dd - sub.dd, slots) for sub in self.internal_lines() if sub.dd < d.dd]
+
     def hn_scope(self) -> tuple:
         out = list(self.reported_lines())
         out += [X2Exc(j, t) for j in (0, 1) for t in range(1, EXC_VALIDATION_LENGTH + 1)]

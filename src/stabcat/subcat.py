@@ -9,6 +9,8 @@ during enumeration.
 
 from __future__ import annotations
 
+from .ambient import class_spreads
+
 
 class SubcatError(ValueError):
     pass
@@ -26,7 +28,13 @@ class CarrierContext:
     one sort key (`key`: index order is `str` order, as the carrier is sorted
     by `str`) and one τ action (`tau`, empty when `tau_order` is 1).
     `reported` masks the reported members; `scope` pairs each validation
-    object with the index of its carrier member."""
+    object with the index of its carrier member.
+
+    The Hom and extension tables are built eagerly.  `mid_mask[i][j]` masks
+    the components of every middle term of members i and j: the rules run
+    only for the least member of each τ-orbit, whose row `translate`
+    carries to the rest of the orbit.  The split masks of each member
+    (`split_masks`) are read on first use."""
 
     def __init__(self, ambient):
         self.carrier = tuple(ambient.carrier())
@@ -45,23 +53,68 @@ class CarrierContext:
                     self.hom_from[j] |= 1 << i
         self.reported = self.to_mask(ambient.reported_members())
         self.scope = tuple((x, self.index[ambient.embed(x)]) for x in ambient.hn_scope())
-        self.splits = {}
-        self.mid_mask = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.carrier):
-            for j, b in enumerate(self.carrier):
-                m = 0
-                for multiset in ambient.middle_terms(a, b):
-                    for comp in multiset:
-                        m |= 1 << self.index[comp]
-                self.mid_mask[i][j] = m
+        self.splits, self.quotients, self.spreads = {}, {}, {}
+        self.mid_mask = [None] * n
+        for i in range(n):
+            if self.mid_mask[i] is None:
+                self._orbit_rows(ambient, i)
+
+    def _orbit_rows(self, ambient, i: int) -> None:
+        """Row i of `mid_mask` from the model's rules, then the rows of its
+        τ-translates by `translate`: mid[τa][τb] = τ mid[a][b], as τ is an
+        autoequivalence."""
+        index, middles, a = self.index, ambient.embedded_middles, self.carrier[i]
+        row = []
+        for b in self.carrier:
+            m = 0
+            for multiset in middles(a, b):
+                for comp in multiset:
+                    m |= 1 << index[comp]
+            row.append(m)
+        self.mid_mask[i] = row
+        tau = self.tau
+        while tau and self.mid_mask[tau[i]] is None:
+            image, row, i = self.translate(row), [0] * len(row), tau[i]
+            for j, m in enumerate(image):
+                row[tau[j]] = m
+            self.mid_mask[i] = row
 
     def split_masks(self, ambient, i: int) -> tuple:
-        """(sub mask, quotient mask) of each pair `carrier_decompositions`
-        gives member i, built on first use."""
-        if i not in self.splits:
-            pairs = ambient.carrier_decompositions(self.carrier[i])
-            self.splits[i] = tuple((self.to_mask(s), self.to_mask(q)) for s, q in pairs)
-        return self.splits[i]
+        """The decompositions of member i as (sub mask, quotient masks)
+        groups, built on first use.  A line bundle whose quotients are
+        torsion spreads (`Ambient.spread_splits`) gets one group per line
+        sub, with one quotient mask per feasible choice of length classes
+        (`class_spreads` over the members' bits), each spread's masks shared
+        between the members that meet it; every other member gets one group
+        per pair `carrier_decompositions` gives."""
+        if i in self.splits:
+            return self.splits[i]
+        x = self.carrier[i]
+        spreads = ambient.spread_splits(x)
+        if spreads is None:
+            groups = tuple((self.to_mask(s), (self.to_mask(q),))
+                           for s, q in ambient.carrier_decompositions(x))
+        else:
+            groups = []
+            for subs, total, slots in spreads:
+                if (total, slots) not in self.spreads:
+                    bits = tuple(tuple((1 << self.index[m], lo, step) for m, lo, step in slot)
+                                 for slot in slots)
+                    self.spreads[total, slots] = tuple(map(sum, class_spreads(total, bits)))
+                groups.append((self.to_mask(subs), self.spreads[total, slots]))
+            groups = tuple(groups)
+        self.splits[i] = groups
+        return groups
+
+    def quotient_mask(self, ambient, i: int) -> int:
+        """The union of member i's quotient masks (`split_masks`)."""
+        if i not in self.quotients:
+            union = 0
+            for _, quotients in self.split_masks(ambient, i):
+                for q in quotients:
+                    union |= q
+            self.quotients[i] = union
+        return self.quotients[i]
 
     def bits(self, mask: int):
         while mask:

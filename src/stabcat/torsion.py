@@ -68,7 +68,8 @@ def validate_torsion_pair(ambient, t, f) -> TorsionReport:
             report.perp_failures.append(f"{what}, differs at {ctx.carrier[next(ctx.bits(diff))]}")
     for x, i in ctx.scope:
         if not ((t | f) >> i & 1
-                or any(not (s & ~t or q & ~f) for s, q in ctx.split_masks(ambient, i))):
+                or any(not s & ~t and any(not q & ~f for q in quotients)
+                       for s, quotients in ctx.split_masks(ambient, i))):
             report.decomposition_failures.append(x)
     report.valid = not (report.perp_failures or report.decomposition_failures)
     return report
@@ -77,7 +78,7 @@ def validate_torsion_pair(ambient, t, f) -> TorsionReport:
 def is_quotient_closed(ambient, members) -> bool:
     ctx = ctx_for(ambient)
     mask = ctx.to_mask(members)
-    return not any(q & ~mask for i in ctx.bits(mask) for _, q in ctx.split_masks(ambient, i))
+    return not any(ctx.quotient_mask(ambient, i) & ~mask for i in ctx.bits(mask))
 
 
 def _pairs(ctx, masks, upto_tau: bool, include_trivial: bool) -> list:

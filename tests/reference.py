@@ -8,6 +8,12 @@ Each function is the slow, descriptor-level path a fast path replaced:
 - every extension-closed set that passes the torsion-pair check
   (`_enumerate_torsion_pairs_brute`) for `enumerate_torsion_pairs`;
 - the subset filter (`enumerate_ext_closed_by_filter`) for `enumerate_ext_closed`;
+- the extension table ORed from `Ambient.middle_terms` pair by pair
+  (`_mid_mask_reference`) for `CarrierContext.mid_mask`, which reads each
+  τ-orbit's least row and translates it;
+- every torsion spread read off `carrier_decompositions`
+  (`_split_masks_reference`) for the split masks `CarrierContext` builds
+  from length classes;
 - the torsion-pair check on descriptor sets (`validate_torsion_pair`,
   `_decomposes`, `is_quotient_closed`) for the bit tests of `stabcat.torsion`;
 - the rank test of every subspace combo (`_submodules_reference`) for the
@@ -169,6 +175,22 @@ def _enumerate_finest_reference(ambient, bound: int = 18) -> list:
     finest = [sd for sd in _valid_data_over_pieces(ambient, candidate_pieces(ambient))
               if is_finest(ambient, sd)[0]]
     return sorted(finest, key=lambda sd: (len(sd.phases()), ctx.key(_piece_masks(ctx, sd))))
+
+
+def _mid_mask_reference(ambient) -> list:
+    """mid[i][j]: the members of every middle term of carrier members i and
+    j, ORed from `middle_terms`."""
+    ctx = ctx_for(ambient)
+    return [[sum({1 << ctx.index[c] for ms in ambient.middle_terms(a, b) for c in ms})
+             for b in ctx.carrier] for a in ctx.carrier]
+
+
+def _split_masks_reference(ambient, i: int) -> frozenset:
+    """The (sub mask, quotient mask) pairs of carrier member i, one per pair
+    `carrier_decompositions` gives."""
+    ctx = ctx_for(ambient)
+    return frozenset((ctx.to_mask(s), ctx.to_mask(q))
+                     for s, q in ambient.carrier_decompositions(ctx.carrier[i]))
 
 
 def _decomposes(ambient, t, f, x) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import stabcat.subcat as subcat
 from stabcat.ambient import IntervalAmbient, TubeAmbient
+from stabcat.ambients import parse_ambient
 from stabcat.sheaves import KroneckerAmbient, P1Ambient, X2Ambient
 from stabcat.stability import enumerate_finest
 from stabcat.subcat import (EnumerationBoundError, SubcatError, closure, enumerate_ext_closed,
@@ -13,7 +14,7 @@ from stabcat.subcat import (EnumerationBoundError, SubcatError, closure, enumera
 from stabcat.torsion import enumerate_torsion_pairs
 from stabcat.tube import TubeIndec
 
-from reference import enumerate_ext_closed_by_filter
+from reference import _mid_mask_reference, enumerate_ext_closed_by_filter
 
 
 def members_str(s):
@@ -157,3 +158,21 @@ def test_method_caches_live_with_their_ambient(make):
     del amb, ctx
     gc.collect()
     assert ref() is None
+
+
+TABLE_SPECS = ([f"an:{n}" for n in range(1, 7)] + [f"tube:{n}" for n in range(1, 7)]
+               + [f"kronecker:window={w}:points={p}" for w in range(2, 9) for p in range(4)]
+               + [f"p1:window={-k}..{k}:points={p}" for k in range(4) for p in range(7)]
+               + [f"x2:window={-k}..{k}:points={p}" for k in range(4) for p in range(4)])
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_mid_mask_matches_middle_terms(spec):
+    """The extension table, τ-orbit rows and all, equals the one ORed from
+    `Ambient.middle_terms` pair by pair."""
+    amb = parse_ambient(spec)
+    ctx = subcat.ctx_for(amb)
+    want = _mid_mask_reference(amb)
+    diff = next(((a, b) for i, a in enumerate(ctx.carrier) for j, b in enumerate(ctx.carrier)
+                 if ctx.mid_mask[i][j] != want[i][j]), None)
+    assert diff is None, f"mid_mask differs first at (a, b) = ({diff[0]}, {diff[1]})"

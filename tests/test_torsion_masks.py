@@ -1,7 +1,8 @@
 """The torsion-pair check on carrier masks against the descriptor-level
 reference check of `tests/reference.py`: the same report on every lattice
-pair, on pairs one member away from them, and on the sheaf family rows, and
-the same quotient-closedness on every extension-closed set."""
+pair, on pairs one member away from them, and on the sheaf family rows, the
+same quotient-closedness on every extension-closed set, and the same split
+masks as every torsion spread gives."""
 
 import functools
 
@@ -12,7 +13,7 @@ from stabcat.ambients import parse_ambient
 from stabcat.sheaves.kronecker import kron_torsion_family
 from stabcat.sheaves.p1 import torsion_family_degree, torsion_family_points
 from stabcat.sheaves.x2 import x2_torsion_family
-from stabcat.subcat import enumerate_ext_closed
+from stabcat.subcat import ctx_for, enumerate_ext_closed
 from stabcat.tables import TABLE_AMBIENTS
 from stabcat.torsion import enumerate_torsion_pairs, is_quotient_closed, validate_torsion_pair
 
@@ -101,3 +102,19 @@ def test_quotient_closed_matches_reference(spec):
     sets = enumerate_ext_closed(amb)
     assert ([is_quotient_closed(amb, s) for s in sets]
             == [reference.is_quotient_closed(amb, s) for s in sets])
+
+
+SPREAD_SPECS = ([f"p1:window={-k}..{k}:points={p}" for k in range(7) for p in range(7)]
+                + [f"x2:window={-k}..{k}:points={p}" for k in range(5) for p in range(4)])
+
+
+@pytest.mark.parametrize("spec", SPREAD_SPECS)
+def test_split_masks_match_spreads(spec):
+    """The line-bundle split masks built from length classes equal, as sets,
+    those read off every torsion spread, on every scope object."""
+    amb = parse_ambient(spec)
+    ctx = ctx_for(amb)
+    assert any(amb.spread_splits(x) is not None for x in ctx.carrier)
+    for x, i in ctx.scope:
+        got = {(s, q) for s, quotients in ctx.split_masks(amb, i) for q in quotients}
+        assert got == reference._split_masks_reference(amb, i), x
