@@ -16,10 +16,13 @@ reads them as length classes (`spread_splits`, `class_spreads`), one
 quotient per feasible class choice, not per torsion spread.
 
 The HN search asks `phase_quotients` only for the decompositions whose
-quotient one phase owns, below the phases the sub's chains end in.  The
-default filters `decompositions`; P^1 and X(2) generate a line bundle's
-quotients only there (`slotted_spreads`) and read its `decompositions`
-back through `one_phase_quotients`.
+quotient one phase owns, below the phases the sub's chains end in.  It
+filters `decompositions`, except on a member with `spread_splits`: there it
+keeps the length classes each phase owns, walks their actual lengths
+(`length_spreads`) and turns each into a summand with the model's
+`lengthen`.  So P^1 and X(2) describe a line bundle's quotients once, and
+their `decompositions` of a line bundle read them back through
+`one_phase_quotients`.
 
 The base class also stores the spec-string name and the carrier, sorted by
 `str`.  A tube carrier member is a plain segment of length 1..2n, one of
@@ -41,21 +44,23 @@ from .tube import TubeIndec, parse_tube, truncate_rep
 FAMILY_INSTANCES = 3
 
 
-def slotted_spreads(total: int, slots) -> list:
-    """Ways to spread `total` over `slots`, a sequence of (key, lo, hi): each
-    key takes 0 or a length in lo..hi (hi None: no upper bound).  Each way
-    is a tuple of (key, length) for the keys given a nonzero length."""
-    if not slots:
+def length_spreads(total: int, rows) -> list:
+    """Ways to spread `total` over `rows`, one per key, each a list of
+    (length, item) pairs ascending in length: each key takes no length or
+    one pair.  Each way is a tuple of (item, length) for the keys given a
+    length; the key absent comes first, then its lengths ascending."""
+    if not rows:
         return [()] if total == 0 else []
-    (key, lo, hi), rest = slots[0], slots[1:]
-    out = slotted_spreads(total, rest)
-    for k in range(lo, (total if hi is None else min(hi, total)) + 1):
-        out.extend(((key, k),) + tail for tail in slotted_spreads(total - k, rest))
+    out = length_spreads(total, rows[1:])
+    for k, item in rows[0]:
+        if k > total:
+            break
+        out.extend(((item, k),) + tail for tail in length_spreads(total - k, rows[1:]))
     return out
 
 
 def class_spreads(total: int, slots) -> list:
-    """The supports of `slotted_spreads` seen up to length classes: `slots` is
+    """The spreads of `total` seen up to length classes: `slots` is
     a sequence of option tuples, one per key, each option (item, lo, step)
     standing for the lengths lo, lo + step, lo + 2 step, ... (step 0: lo
     alone).  Each key takes no option or one; a choice is kept when its
@@ -89,22 +94,6 @@ def one_phase_quotients(ambient, x) -> tuple:
     carrier member owned by phase 0 and every sub topped by phase 1."""
     quotients = ambient.phase_quotients(x, dict.fromkeys(ambient.carrier(), 0), lambda subs: 1)
     return tuple((subs, quots) for subs, quots, _ in quotients)
-
-
-def point_tube_slots(owners: dict) -> dict:
-    """Per phase index, the length slots of the rank-one point tubes it owns.
-
-    `owners` maps each point to (o1, o2), the phases owning S_x^(1) and
-    S_x^(2); S_x^(2) stands for every length t >= 2, -1 for no phase.  A
-    phase owning both takes any length at x, only S_x^(1) exactly 1, only
-    S_x^(2) at least 2: slots (x, 1, None), (x, 1, 1), (x, 2, None).
-    """
-    out = {}
-    for x, (o1, o2) in owners.items():
-        for p in {o1, o2} - {-1}:
-            slot = (x, 1, None) if o1 == o2 else (x, 1, 1) if p == o1 else (x, 2, None)
-            out.setdefault(p, []).append(slot)
-    return out
 
 
 class AmbientError(ValueError):
@@ -209,15 +198,40 @@ class Ambient:
         piece holds it.  Each quotient lies entirely in the one phase p
         (through `embed`), and p < top_of(subs), the index of the highest
         phase a chain of the sub multiset ends in (-1 when it has none).
-        Every sub yielded has been passed to `top_of` first.  The default
-        filters `decompositions(x)`, testing the quotient's phase before
-        `top_of` recurses into the sub.  An override that generates them must
-        not call `decompositions(x)`: that reads back `one_phase_quotients`.
+        Every sub yielded has been passed to `top_of` first.
+
+        A member with `spread_splits` gets its quotients generated from
+        them: per phase, the options whose class member the phase owns,
+        walked through their actual lengths (`length_spreads`) and turned
+        into summands by `lengthen`.  Every other object filters
+        `decompositions(x)`, testing the quotient's phase before `top_of`
+        recurses into the sub.
         """
-        for subs, quots in self.decompositions(x):
-            p = self.owning_phase(quots, owner)
-            if p >= 0 and p < top_of(subs):
-                yield subs, quots, p
+        splits = self.spread_splits(x)
+        if splits is None:
+            for subs, quots in self.decompositions(x):
+                p = self.owning_phase(quots, owner)
+                if p >= 0 and p < top_of(subs):
+                    yield subs, quots, p
+            return
+        slots, pairs = splits
+        reach = max((total for _, total in pairs), default=0)
+        rows = {}
+        for k, slot in enumerate(slots):
+            for item, lo, step in slot:
+                p = owner.get(item, -1)
+                if p >= 0:
+                    lengths = range(lo, reach + 1, step) if step else (lo,)
+                    rows.setdefault(p, {}).setdefault(k, []).extend((c, item) for c in lengths)
+        tables = [(p, [sorted(row) for row in rows[p].values()]) for p in sorted(rows)]
+        lengthen = self.lengthen
+        for subs, total in pairs:
+            top = top_of(subs)
+            for p, table in tables:
+                if p >= top:
+                    break
+                for spread in length_spreads(total, table):
+                    yield subs, tuple(lengthen(item, c) for item, c in spread), p
 
     def hn_scope(self) -> tuple:
         """Extended-space objects whose HN filtration validation must find."""
@@ -239,11 +253,18 @@ class Ambient:
 
     def spread_splits(self, x):
         """For a member whose decompositions are a line sub with a torsion
-        quotient spread over length classes: one (subs, total, slots) per
-        sub, whose quotient supports are `class_spreads(total, slots)`, with
-        carrier members as the items.  None for every other member, whose
-        pairs `carrier_decompositions` gives."""
+        quotient spread over length classes: (slots, pairs), the slots shared
+        by every sub and one (subs, total) pair per sub.  The quotient
+        supports of a sub are `class_spreads(total, slots)`, with carrier
+        members as the items, and its actual quotients the `length_spreads`
+        of those classes, each summand `lengthen(item, length)`.  None for
+        every other member, whose pairs `carrier_decompositions` gives."""
         return None
+
+    def lengthen(self, item, length: int):
+        """The actual summand of length class `item` that contributes
+        `length` to a `spread_splits` total."""
+        raise NotImplementedError
 
     def tau(self, x):
         return None

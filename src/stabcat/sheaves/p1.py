@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .. import tube
 from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
-                       one_phase_quotients, point_tube_slots, positive, sample_points,
-                       slotted_spreads)
+                       one_phase_quotients, positive, sample_points)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -105,32 +104,16 @@ class P1Ambient(Ambient):
                          for r, q in tube.homogeneous_chain_splits(d.t))
         return one_phase_quotients(self, d)
 
-    def phase_quotients(self, d, owner, top_of):
-        """For a line bundle, only the torsion spreads one phase below the
-        sub's top owns: per phase, the points whose tube members it owns,
-        with their length slots (`point_tube_slots`)."""
-        if isinstance(d, P1Tor):
-            yield from super().phase_quotients(d, owner, top_of)
-            return
-        slots = point_tube_slots({x: (owner.get(P1Tor(x, 1), -1), owner.get(P1Tor(x, 2), -1))
-                                  for x in self.points})
-        phases = sorted(slots)
-        for m in range(self.lo, d.n):
-            sub = (P1Line(m),)
-            top = top_of(sub)
-            for p in phases:
-                if p >= top:
-                    break
-                for spread in slotted_spreads(d.n - m, slots[p]):
-                    yield sub, tuple(P1Tor(x, k) for x, k in spread), p
-
     def spread_splits(self, d):
         """A line bundle's quotient by O(m) spreads the gap over the points,
         each summand of length 1 or at least 2 (S_x^(1) or S_x^(2))."""
         if not isinstance(d, P1Line):
             return None
         slots = tuple(((P1Tor(x, 1), 1, 0), (P1Tor(x, 2), 2, 1)) for x in self.points)
-        return [((P1Line(m),), d.n - m, slots) for m in range(self.lo, d.n)]
+        return slots, [((P1Line(m),), d.n - m) for m in range(self.lo, d.n)]
+
+    def lengthen(self, item, length: int):
+        return P1Tor(item.x, length)
 
     def hn_scope(self) -> tuple:
         out = [P1Line(n) for n in range(self.lo, self.hi + 1)]

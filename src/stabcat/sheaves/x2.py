@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from .. import tube
 from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
-                       one_phase_quotients, point_tube_slots, positive, sample_points,
-                       slotted_spreads)
+                       one_phase_quotients, positive, sample_points)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -189,51 +188,6 @@ class X2Ambient(Ambient):
                          for r, q in tube.homogeneous_chain_splits(d.t))
         return one_phase_quotients(self, d)
 
-    def phase_quotients(self, d, owner, top_of):
-        """For a line bundle, only the torsion spreads one phase below the
-        sub's top owns.  The exceptional summand keeps the top parity
-        dd mod 2 and takes the lengths whose embedding the phase owns; the
-        ordinary points take their length slots (`point_tube_slots`)."""
-        if not isinstance(d, X2Line):
-            yield from super().phase_quotients(d, owner, top_of)
-            return
-        parity = d.dd % 2
-        ords = point_tube_slots({x: (owner.get(X2Ord(x, 1), -1), owner.get(X2Ord(x, 2), -1))
-                                 for x in self.points})
-        exc = {}
-        for t in range(1, d.dd - 2 * self.inner_lo + 1):
-            p = owner.get(self.embed(X2Exc(parity, t)), -1)
-            if p >= 0:
-                exc.setdefault(p, []).append(t)
-        phases = sorted(set(ords) | set(exc))
-        for sub in self.internal_lines():
-            if sub.dd >= d.dd:
-                break
-            gap, top = d.dd - sub.dd, top_of((sub,))
-            for p in phases:
-                if p >= top:
-                    break
-                for quot in self._spreads(gap, parity, exc.get(p, ()), ords.get(p, ())):
-                    yield (sub,), quot, p
-
-    def _spreads(self, gap: int, exc_parity: int, exc_lengths, ord_slots) -> list:
-        """Quotients of a degree-`gap` embedding: at most one exceptional
-        summand, of top parity `exc_parity` and a length in the ascending
-        `exc_lengths`, plus ordinary torsion spread over `ord_slots`; each
-        ordinary length counts twice towards the degree."""
-        spreads = []
-        for m_exc in [0, *exc_lengths]:
-            rest = gap - m_exc
-            if rest < 0:
-                break
-            if rest % 2:
-                continue
-            head = (X2Exc(exc_parity, m_exc),) if m_exc else ()
-            for spread in slotted_spreads(rest // 2, ord_slots):
-                if head or spread:
-                    spreads.append(head + tuple(X2Ord(x, k) for x, k in spread))
-        return spreads
-
     def spread_splits(self, d):
         """A line bundle's quotient by a line sub spreads the degree gap: at
         most one exceptional summand of top parity dd mod 2 and length 1, 2,
@@ -244,7 +198,12 @@ class X2Ambient(Ambient):
         parity = d.dd % 2
         slots = (tuple((X2Exc(parity, t), t, 0 if t < 3 else 2) for t in (1, 2, 3, 4)),)
         slots += tuple(((X2Ord(x, 1), 2, 0), (X2Ord(x, 2), 4, 2)) for x in self.points)
-        return [((sub,), d.dd - sub.dd, slots) for sub in self.internal_lines() if sub.dd < d.dd]
+        return slots, [((sub,), d.dd - sub.dd) for sub in self.internal_lines() if sub.dd < d.dd]
+
+    def lengthen(self, item, length: int):
+        if isinstance(item, X2Exc):
+            return X2Exc(item.j, length)
+        return X2Ord(item.x, length // 2)
 
     def hn_scope(self) -> tuple:
         out = list(self.reported_lines())

@@ -14,8 +14,9 @@ genuine axiom violation for the windowed category.
 The search generates only phase-admissible quotients: for each sub of x it
 finds the sub's chains first and asks the ambient (`phase_quotients`) only
 for quotients lying in one phase below the highest phase those chains end
-in.  The P^1 and X(2) models build those torsion spreads of a line bundle
-directly.
+in.  For a P^1 or X(2) line bundle the ambient derives those torsion
+spreads from the length classes of `spread_splits`, the description the
+torsion-pair masks read too.
 
 Valid data are the chains 0 = T_0 < ... < T_k = carrier of torsion classes,
 with pieces T_{i+1} & T_i^perp, and the finest data are the maximal chains.

@@ -95,13 +95,17 @@ class CarrierContext:
             groups = tuple((self.to_mask(s), (self.to_mask(q),))
                            for s, q in ambient.carrier_decompositions(x))
         else:
+            slots, pairs = spreads
+            if slots not in self.spreads:
+                bits = tuple(tuple((1 << self.index[m], lo, step) for m, lo, step in slot)
+                             for slot in slots)
+                self.spreads[slots] = bits, {}
+            bits, by_total = self.spreads[slots]
             groups = []
-            for subs, total, slots in spreads:
-                if (total, slots) not in self.spreads:
-                    bits = tuple(tuple((1 << self.index[m], lo, step) for m, lo, step in slot)
-                                 for slot in slots)
-                    self.spreads[total, slots] = tuple(map(sum, class_spreads(total, bits)))
-                groups.append((self.to_mask(subs), self.spreads[total, slots]))
+            for subs, total in pairs:
+                if total not in by_total:
+                    by_total[total] = tuple(map(sum, class_spreads(total, bits)))
+                groups.append((self.to_mask(subs), by_total[total]))
             groups = tuple(groups)
         self.splits[i] = groups
         return groups

@@ -230,11 +230,18 @@ def torsion_pairs_from_finest(ambient, upto_tau: bool = False,
 
     chains = _finest_chains(ambient)
     ctx = ctx_for(ambient)
+    closed = {}  # the chains share most of their cuts
+
+    def closure(mask: int) -> int:
+        if mask not in closed:
+            closed[mask] = ctx.closure_mask(mask)
+        return closed[mask]
+
     cuts = set()
     for chain in chains:
         for k in range(len(chain) + 1):
             # the pieces are disjoint, so their sum is their union
-            cuts.add((ctx.closure_mask(sum(chain[k:])), ctx.closure_mask(sum(chain[:k]))))
+            cuts.add((closure(sum(chain[k:])), closure(sum(chain[:k]))))
     return _pairs(ctx, cuts, upto_tau, include_trivial)
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from stabcat.ambient import AmbientError, TubeAmbient, degree_pairs
+from stabcat.ambient import Ambient, AmbientError, TubeAmbient, degree_pairs
 from stabcat.ambients import parse_ambient
 from stabcat.oracle import middle_terms_bruteforce
 from stabcat.sheaves import KronR, P1Tor, X2Ord
@@ -23,6 +23,17 @@ def test_degree_pairs_match_filter():
         expected = [(c, d) for c, d in itertools.product(span, span)
                     if c + d == lo + hi and lo < c <= d < hi]
         assert degree_pairs(lo, hi) == expected, (lo, hi)
+
+
+def test_phase_quotients_defined_once():
+    """Only the base class defines `phase_quotients`: a model gives a line
+    bundle's quotients once, through `spread_splits` and `lengthen`, and
+    every other object's through `decompositions`."""
+    classes = [Ambient]
+    for cls in classes:
+        classes.extend(c for c in cls.__subclasses__() if c not in classes)
+    assert len(classes) > 3
+    assert [c.__name__ for c in classes if "phase_quotients" in vars(c)] == ["Ambient"]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -537,7 +537,8 @@ def test_fuzz_cli_exit_codes(tmp_path, capsys, command, spec, data):
 
 
 @pytest.mark.parametrize("spec, methods", [("tube:3", ("brute", "cuts", "ray-coray")),
-                                           ("an:3", ("brute", "cuts"))])
+                                           ("an:3", ("brute", "cuts")),
+                                           ("tube:5", ("brute", "cuts", "ray-coray"))])
 def test_torsion_methods_print_identical_upto_tau_json(spec, methods):
     """Every method ends in the same sort and τ-dedupe, so the documents
     match byte for byte, τ-orbit sizes included."""

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import stabcat.stability as stability
-from stabcat.ambient import IntervalAmbient, TubeAmbient, point_tube_slots, slotted_spreads
+from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.phases import ExplicitOrder, Phase
 from stabcat.sheaves.kronecker import (KroneckerAmbient, finest_kron_directing,
                                       finest_kron_two_phase)
@@ -119,11 +119,33 @@ def test_invalid_sheaf_data_match_reference():
         assert not validate(x2, sd).valid
 
 
-SHEAF_DATA = pytest.mark.parametrize("amb, data", [
-    (P1Ambient(-3, 3, 3), lambda a: [finest_p1(a), slope_data_p1(a)] + invalid_p1_data(a)),
-    (X2Ambient(-2, 2, 3), lambda a: [finest_x2(a, "full"), finest_x2(a, "coset"),
-                                     slope_data_x2(a)] + invalid_x2_data(a)),
-], ids=["p1", "x2"])
+SHEAF_CASES = [
+    pytest.param(P1Ambient(-3, 3, 3),
+                 lambda a: [finest_p1(a), slope_data_p1(a)] + invalid_p1_data(a), id="p1"),
+    pytest.param(X2Ambient(-2, 2, 3),
+                 lambda a: [finest_x2(a, "full"), finest_x2(a, "coset"),
+                            slope_data_x2(a)] + invalid_x2_data(a), id="x2"),
+]
+SHEAF_DATA = pytest.mark.parametrize("amb, data", SHEAF_CASES)
+
+
+def random_sheaf_data(seed) -> list:
+    """Random phase orders with random pieces over part of the carrier, one
+    datum on P^1 and one on X(2): phases may own S_x^(1) without S_x^(2),
+    the reverse, or only some exceptional lengths."""
+    rng = random.Random(seed)
+    out = []
+    for amb in (P1Ambient(-2, 2, 3), X2Ambient(-1, 1, 2)):
+        members = list(amb.carrier())
+        rng.shuffle(members)
+        k = rng.randrange(3, len(members))
+        phases = [Phase.integer(i) for i in range(k)]
+        pieces = {}
+        for m in members:
+            if rng.random() < 0.85:
+                pieces.setdefault(rng.choice(phases), set()).add(m)
+        out.append((amb, StabilityData(ExplicitOrder(phases), pieces)))
+    return out
 
 
 def filtered_decompositions(amb, search, x, top_of):
@@ -135,7 +157,9 @@ def filtered_decompositions(amb, search, x, top_of):
     return out
 
 
-@SHEAF_DATA
+@pytest.mark.parametrize("amb, data", SHEAF_CASES + [
+    pytest.param(amb, lambda a, sd=sd: [sd], id=f"random{seed}-{amb.name.split(':')[0]}")
+    for seed in range(12) for amb, sd in random_sheaf_data(seed)])
 def test_phase_quotients_are_the_filtered_decompositions(amb, data):
     """The generated spreads are exactly the decompositions whose quotient
     one phase below the sub's top owns."""
@@ -156,17 +180,8 @@ def test_phase_quotients_are_the_filtered_decompositions(amb, data):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_sheaf_data_match_reference(seed):
     """Random phase orders with random pieces over part of the carrier."""
-    rng = random.Random(seed)
-    for amb in (P1Ambient(-2, 2, 3), X2Ambient(-1, 1, 2)):
-        members = list(amb.carrier())
-        rng.shuffle(members)
-        k = rng.randrange(3, len(members))
-        phases = [Phase.integer(i) for i in range(k)]
-        pieces = {}
-        for m in members:
-            if rng.random() < 0.85:
-                pieces.setdefault(rng.choice(phases), set()).add(m)
-        assert_matches_reference(amb, StabilityData(ExplicitOrder(phases), pieces))
+    for amb, sd in random_sheaf_data(seed):
+        assert_matches_reference(amb, sd)
 
 
 @pytest.mark.parametrize("amb, data", [
@@ -334,30 +349,3 @@ def test_x2_spreads_match_product_filter(n_points):
         assert sorted(spreads) == list(range(1, line.dd - 2 * amb.inner_lo + 1))
         for gap, quots in spreads.items():
             assert quots == product_spreads_x2(amb.points, gap, line.dd % 2)
-
-
-def product_slotted(slots, total):
-    out = []
-    for ks in itertools.product(range(total + 1), repeat=len(slots)):
-        if sum(ks) == total and all(k == 0 or lo <= k <= (hi or total)
-                                    for k, (_, lo, hi) in zip(ks, slots)):
-            out.append(tuple((key, k) for k, (key, _, _) in zip(ks, slots) if k))
-    return out
-
-
-@pytest.mark.parametrize("slots", [
-    (), (("a", 1, 1),), (("a", 2, None),), (("a", 1, None), ("b", 1, 1)),
-    (("a", 1, 1), ("b", 2, None), ("c", 1, None)), (("a", 1, 1), ("b", 1, 1), ("c", 1, 1)),
-])
-def test_slotted_spreads_match_product_filter(slots):
-    for total in range(8):
-        assert sorted(slotted_spreads(total, slots)) == sorted(product_slotted(slots, total))
-
-
-def test_point_tube_slots():
-    owners = {"a": (0, 0), "b": (0, 1), "c": (1, -1), "d": (-1, -1), "e": (-1, 2)}
-    assert point_tube_slots(owners) == {
-        0: [("a", 1, None), ("b", 1, 1)],
-        1: [("b", 2, None), ("c", 1, 1)],
-        2: [("e", 2, None)],
-    }
