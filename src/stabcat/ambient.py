@@ -6,14 +6,19 @@ periodic family of actual objects (`_instances`), and `embedded_middles`
 and `carrier_decompositions` sweep those instances through the model's rules
 on actual objects (`_middles_actual`, `decompositions`), embed the results in
 the carrier and keep the ones inside it (`_in_carrier`).  A model supplies
-those rules, not the sweep.  Neither is memoised: the carrier context
-(`subcat.ctx_for`) ORs the components `embedded_middles` yields straight
-into its bitmask table, one row per τ-orbit, and `middle_terms` reads the
-same generator as sorted multisets.  The context reads each member's
-decompositions once, on first use, as the (sub, quotient) masks the
-torsion-pair check tests bits against; for P^1 and X(2) line bundles it
-reads them as length classes (`spread_splits`, `class_spreads`), one
-quotient per feasible class choice, not per torsion spread.
+those rules, not the sweep.  Where the union of a pair's middle-term
+components has a closed form, the model also gives that union as ranges of
+its families in degree order (`families`, `middle_ranges`): the P^1 and
+X(2) line-bundle pairs and every Kronecker pair.  Neither is memoised: the
+carrier context (`subcat.ctx_for`) turns each range into a mask from
+prefix masks per family, ORs the components `embedded_middles` yields for
+every other pair, and fills its bitmask table one row per τ-orbit;
+`middle_terms` reads the same generator as sorted multisets.  The context
+reads each member's decompositions once, on first use, as the (sub,
+quotient) masks the torsion-pair check tests bits against; for P^1 and X(2)
+line bundles it reads them as length classes (`spread_splits`,
+`class_spreads`), one quotient per feasible class choice, not per torsion
+spread.
 
 The HN search asks `phase_quotients` only for the decompositions whose
 quotient one phase owns, below the phases the sub's chains end in.  It
@@ -173,6 +178,19 @@ class Ambient:
     def middle_terms(self, a, b) -> frozenset:
         """The distinct `embedded_middles` of a and b, each sorted by `str`."""
         return frozenset(tuple(sorted(ms, key=str)) for ms in self.embedded_middles(a, b))
+
+    def families(self) -> tuple:
+        """Carrier members grouped into families, each listed in degree
+        order, for `middle_ranges`; empty for a model without them."""
+        return ()
+
+    def middle_ranges(self, a, b):
+        """The union of the components of every `embedded_middles` of a and b
+        as ranges (f, lo, hi, step) of `families`: family f's members at
+        positions lo, lo + step, ..., hi, counted from 1, with step 1 or 2
+        and hi - lo a multiple of step; a range with lo > hi is empty.  None
+        where the model has no closed form for the pair."""
+        return None
 
     def decompositions(self, x) -> tuple:
         """Proper (subobject multiset, quotient multiset) pairs of the

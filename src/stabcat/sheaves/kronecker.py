@@ -79,6 +79,7 @@ class KroneckerAmbient(Ambient):
             raise AmbientError("kronecker window must be >= 2")
         self.window = window
         self.points = sample_points(KRON_POINTS, n_points)
+        self._tube_family = {x: 2 + i for i, x in enumerate(self.points)}
         carrier = [KronP(k) for k in range(1, window + 1)]
         carrier += [KronI(k) for k in range(1, window + 1)]
         carrier += [KronR(x, d) for x in self.points for d in range(1, window + 1)]
@@ -105,6 +106,40 @@ class KroneckerAmbient(Ambient):
         if isinstance(d, KronR):
             return d.d <= self.window
         return d.k <= self.window
+
+    def families(self) -> tuple:
+        w = range(1, self.window + 1)
+        return ((tuple(KronP(k) for k in w), tuple(KronI(k) for k in w))
+                + tuple(tuple(KronR(x, d) for d in w) for x in self.points))
+
+    def middle_ranges(self, a, b):
+        """Every pair in closed form, on the families P (0), I (1) and R[x]
+        (2 + the index of x), each by index or length: P_k, P_l give
+        P_{k+1..l-1}; I_k, I_l give I_{l+1..k-1}; R[x]^(a), R[x]^(b) the
+        lengths s and a+b-s (1 <= s < min(a, b)) and a+b inside the window;
+        the absorb chains give `_absorbed`; every other pair gives nothing."""
+        ta, tb = type(a), type(b)
+        if ta is tb is KronP:
+            return ((0, a.k + 1, b.k - 1, 1),)
+        if ta is tb is KronI:
+            return ((1, b.k + 1, a.k - 1, 1),)
+        if ta is tb is KronR:
+            if a.x != b.x:
+                return ()
+            f, lo, hi, w = self._tube_family[a.x], min(a.d, b.d), max(a.d, b.d), self.window
+            return ((f, max(1, lo + hi - w), lo - 1, 1), (f, hi + 1, min(lo + hi, w), 1))
+        if ta is KronP and tb is KronR:
+            return self._absorbed(0, a.k, b)
+        if ta is KronR and tb is KronI:
+            return self._absorbed(1, b.k, a)
+        return ()
+
+    def _absorbed(self, f: int, k: int, r: KronR) -> tuple:
+        """P_k, R[x]^(d) (f = 0) or R[x]^(d), I_k (f = 1): the P or I indices
+        k+1..k+d and the regular lengths d-s with k+s in the window."""
+        d, w = r.d, self.window
+        return ((f, k + 1, min(k + d, w), 1),
+                (self._tube_family[r.x], max(1, d - w + k), d - 1, 1))
 
     def _middles_actual(self, a, b):
         out = []

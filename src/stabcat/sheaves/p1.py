@@ -52,7 +52,8 @@ class P1Ambient(Ambient):
             raise AmbientError("empty degree window")
         self.lo, self.hi = lo, hi
         self.points = sample_points(DEFAULT_POINTS, n_points)
-        carrier = [P1Line(n) for n in range(lo, hi + 1)]
+        self._lines = tuple(P1Line(n) for n in range(lo, hi + 1))
+        carrier = list(self._lines)
         carrier += [P1Tor(x, t) for x in self.points for t in (1, 2)]
         super().__init__(f"p1:window={lo}..{hi}:points={n_points}", carrier)
 
@@ -79,6 +80,15 @@ class P1Ambient(Ambient):
         if isinstance(d, P1Line):
             return self.lo <= d.n <= self.hi
         return True
+
+    def families(self) -> tuple:
+        return (self._lines,)
+
+    def middle_ranges(self, a, b):
+        """Between O(a) and O(b), every line of degree a+1..b-1."""
+        if type(a) is P1Line and type(b) is P1Line:
+            return ((0, a.n - self.lo + 2, b.n - self.lo, 1),)
+        return None
 
     def _middles_actual(self, a, b):
         out = []
@@ -110,13 +120,13 @@ class P1Ambient(Ambient):
         if not isinstance(d, P1Line):
             return None
         slots = tuple(((P1Tor(x, 1), 1, 0), (P1Tor(x, 2), 2, 1)) for x in self.points)
-        return slots, [((P1Line(m),), d.n - m) for m in range(self.lo, d.n)]
+        return slots, [((sub,), d.n - sub.n) for sub in self._lines[:max(0, d.n - self.lo)]]
 
     def lengthen(self, item, length: int):
         return P1Tor(item.x, length)
 
     def hn_scope(self) -> tuple:
-        out = [P1Line(n) for n in range(self.lo, self.hi + 1)]
+        out = list(self._lines)
         out += [P1Tor(x, t) for x in self.points for t in (1, 2, 3)]
         return tuple(out)
 

@@ -99,7 +99,8 @@ class X2Ambient(Ambient):
         self.lo, self.hi = lo, hi
         self.inner_lo = lo - 1  # margin column for boundary HN factors
         self.points = sample_points(X2_POINTS, n_points)
-        carrier = [X2Line(l, e) for l in range(self.inner_lo, hi + 1) for e in (0, 1)]
+        self._lines = tuple(X2Line(l, e) for l in range(self.inner_lo, hi + 1) for e in (0, 1))
+        carrier = list(self._lines)
         carrier += [X2Exc(j, rt) for j in (0, 1) for rt in (1, 2, 3, 4)]
         carrier += [X2Ord(x, rt) for x in self.points for rt in (1, 2)]
         super().__init__(f"x2:window={lo}..{hi}:points={n_points}", carrier)
@@ -112,7 +113,8 @@ class X2Ambient(Ambient):
         return tuple(X2Line(l, e) for l in range(self.lo, self.hi + 1) for e in (0, 1))
 
     def internal_lines(self) -> tuple:
-        return tuple(X2Line(l, e) for l in range(self.inner_lo, self.hi + 1) for e in (0, 1))
+        """The carrier's line bundles in dd order."""
+        return self._lines
 
     def embed(self, d):
         if isinstance(d, X2Exc) and d.t > 4:
@@ -148,6 +150,19 @@ class X2Ambient(Ambient):
         if isinstance(d, X2Line):
             return 2 * self.inner_lo <= d.dd <= 2 * self.hi + 1
         return True
+
+    def families(self) -> tuple:
+        return (self._lines,)
+
+    def middle_ranges(self, a, b):
+        """Between line bundles of degrees dd(a) < dd(b): every line strictly
+        between for an odd gap; for an even gap, the both-gaps-odd filter
+        leaves the lines at even offsets dd(a)+2, dd(a)+4, ..., dd(b)-2."""
+        if type(a) is X2Line and type(b) is X2Line:
+            lo, hi = a.dd - 2 * self.inner_lo + 1, b.dd - 2 * self.inner_lo + 1
+            step = 1 if (hi - lo) % 2 else 2
+            return ((0, lo + step, hi - step, step),)
+        return None
 
     def _middles_actual(self, a, b):
         out = []
@@ -198,7 +213,8 @@ class X2Ambient(Ambient):
         parity = d.dd % 2
         slots = (tuple((X2Exc(parity, t), t, 0 if t < 3 else 2) for t in (1, 2, 3, 4)),)
         slots += tuple(((X2Ord(x, 1), 2, 0), (X2Ord(x, 2), 4, 2)) for x in self.points)
-        return slots, [((sub,), d.dd - sub.dd) for sub in self.internal_lines() if sub.dd < d.dd]
+        subs = self._lines[:max(0, d.dd - 2 * self.inner_lo)]
+        return slots, [((sub,), d.dd - sub.dd) for sub in subs]
 
     def lengthen(self, item, length: int):
         if isinstance(item, X2Exc):

@@ -31,9 +31,13 @@ class CarrierContext:
     object with the index of its carrier member.
 
     The Hom and extension tables are built eagerly.  `mid_mask[i][j]` masks
-    the components of every middle term of members i and j: the rules run
-    only for the least member of each τ-orbit, whose row `translate`
-    carries to the rest of the orbit.  The split masks of each member
+    the components of every middle term of members i and j.  A pair the
+    model answers in closed form (`Ambient.middle_ranges`) ORs one mask per
+    range of a family, from that family's prefix masks (`_prefixes`, built
+    once, as index order is not degree order); every other pair falls back
+    to the rules (`Ambient.embedded_middles`).  Either way the row is made
+    only for the least member of each τ-orbit, and `translate` carries it
+    to the rest of the orbit.  The split masks of each member
     (`split_masks`) are read on first use."""
 
     def __init__(self, ambient):
@@ -54,22 +58,44 @@ class CarrierContext:
         self.reported = self.to_mask(ambient.reported_members())
         self.scope = tuple((x, self.index[ambient.embed(x)]) for x in ambient.hn_scope())
         self.splits, self.quotients, self.spreads = {}, {}, {}
+        prefixes = tuple(self._prefixes(family) for family in ambient.families())
         self.mid_mask = [None] * n
         for i in range(n):
             if self.mid_mask[i] is None:
-                self._orbit_rows(ambient, i)
+                self._orbit_rows(ambient, prefixes, i)
 
-    def _orbit_rows(self, ambient, i: int) -> None:
-        """Row i of `mid_mask` from the model's rules, then the rows of its
-        τ-translates by `translate`: mid[τa][τb] = τ mid[a][b], as τ is an
-        autoequivalence."""
+    def _prefixes(self, family) -> tuple:
+        """(None, stride-1, stride-2) prefix masks of a family in degree
+        order: entry p of stride s masks the members at positions p, p - s,
+        p - 2s, ... down to 1.  Positions count from 1, so entry 0 is empty."""
+        one, two = [0], [0]
+        for p, member in enumerate(family, 1):
+            bit = 1 << self.index[member]
+            one.append(one[-1] | bit)
+            two.append((two[p - 2] if p > 1 else 0) | bit)
+        return None, one, two
+
+    def _orbit_rows(self, ambient, prefixes: tuple, i: int) -> None:
+        """Row i of `mid_mask`, then the rows of its τ-translates by
+        `translate`: mid[τa][τb] = τ mid[a][b], as τ is an autoequivalence.
+        A pair the model gives `middle_ranges` for ORs the range masks
+        `pre[hi] & ~pre[lo - 1]` from the family's `prefixes`; every other
+        pair ORs the components of its `embedded_middles`."""
         index, middles, a = self.index, ambient.embedded_middles, self.carrier[i]
+        ranges = ambient.middle_ranges
         row = []
         for b in self.carrier:
             m = 0
-            for multiset in middles(a, b):
-                for comp in multiset:
-                    m |= 1 << index[comp]
+            spans = ranges(a, b)
+            if spans is None:
+                for multiset in middles(a, b):
+                    for comp in multiset:
+                        m |= 1 << index[comp]
+            else:
+                for f, lo, hi, step in spans:
+                    if lo <= hi:
+                        pre = prefixes[f]
+                        m |= pre[step][hi] & ~pre[1][lo - 1]
             row.append(m)
         self.mid_mask[i] = row
         tau = self.tau

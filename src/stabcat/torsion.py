@@ -225,10 +225,12 @@ def classify_tube_torsion_pairs(n: int, upto_tau: bool = False, include_trivial:
 def torsion_pairs_from_finest(ambient, upto_tau: bool = False,
                               include_trivial: bool = False) -> list:
     """Union of all cuts of all finest data, T closed from the pieces above
-    the cut and F from those below; must equal `enumerate_torsion_pairs`."""
-    from .stability import _finest_chains
+    the cut and F from those below; must equal `enumerate_torsion_pairs`.
+    The cuts form a set that `_pairs` sorts, so the chains are read unsorted."""
+    from .stability import _chain_data
 
-    chains = _finest_chains(ambient)
+    covers = lattice_walk(ambient)
+    chains = _chain_data(ambient, covers, covers, "finest data")
     ctx = ctx_for(ambient)
     closed = {}  # the chains share most of their cuts
 

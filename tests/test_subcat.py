@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import stabcat.subcat as subcat
 from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.ambients import parse_ambient
-from stabcat.sheaves import KroneckerAmbient, P1Ambient, X2Ambient
+from stabcat.sheaves import KroneckerAmbient, P1Ambient, P1Line, X2Ambient, X2Line
 from stabcat.stability import enumerate_finest
 from stabcat.subcat import (EnumerationBoundError, SubcatError, closure, enumerate_ext_closed,
                             is_closed, left_perp, right_perp)
@@ -176,3 +176,34 @@ def test_mid_mask_matches_middle_terms(spec):
     diff = next(((a, b) for i, a in enumerate(ctx.carrier) for j, b in enumerate(ctx.carrier)
                  if ctx.mid_mask[i][j] != want[i][j]), None)
     assert diff is None, f"mid_mask differs first at (a, b) = ({diff[0]}, {diff[1]})"
+
+
+@pytest.mark.parametrize("spec", ["kronecker:window=30:points=3", "x2:window=-20..20:points=3",
+                                  "p1:window=-30..30:points=6"])
+def test_mid_mask_matches_middle_terms_at_wide_windows(spec):
+    """The `middle_ranges` closed forms at windows wide enough that an
+    off-by-one at a window edge or in the X(2) stride shows."""
+    test_mid_mask_matches_middle_terms(spec)
+
+
+@pytest.mark.parametrize("spec", ["kronecker:window=60:points=3", "x2:window=-60..60:points=3",
+                                  "p1:window=-140..140:points=6"])
+def test_line_and_kronecker_pairs_never_sweep_the_rules(spec, monkeypatch):
+    """At the member limit, no line-line pair and no Kronecker pair reaches
+    `embedded_middles`: a `middle_ranges` that answered None would pass
+    every agreement test and lose the closed forms."""
+    amb = parse_ambient(spec)
+    swept = []
+    rules = amb.embedded_middles
+
+    def counted(a, b):
+        swept.append((a, b))
+        return rules(a, b)
+
+    monkeypatch.setattr(amb, "embedded_middles", counted)
+    subcat.ctx_for(amb)
+    lines = (P1Line, X2Line)
+    bad = [(a, b) for a, b in swept
+           if isinstance(amb, KroneckerAmbient) or isinstance(a, lines) and isinstance(b, lines)]
+    assert not bad, f"{len(bad)} pairs swept the rules, first {bad[0][0]}, {bad[0][1]}"
+    assert swept or isinstance(amb, KroneckerAmbient), "the count saw no line-torsion pair"
