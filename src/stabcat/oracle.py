@@ -22,8 +22,16 @@ source basis reduces to zero against the target rows at their pivots, the
 sub's map coordinates are the image rows' entries at the target pivots, and
 the quotient has the standard vectors off the pivots as its basis.  The Hom
 table of each length reads, by descriptor, every Hom dimension that a table
-built before it holds.  Everything the oracle learns is kept in one memo
-per (shape, p) for the life of the process; `clear` forgets it all.
+built before it holds.  On the cyclic quiver of rank n > 1 the rotation
+v -> v+1 relabels the representation of S_j^(t) as that of S_{j+1}^(t)
+(`tube.tau(x, -1)`) and maps short exact sequences to short exact
+sequences, Hom dimensions and subspace counts included, so a middle-term
+query is answered once per rotation orbit: from an orbit-mate already
+asked, or else by computing the least rotation of (A, B), in whose frame
+the whole orbit sweeps.  Either way the memo holds, under each query
+asked, exactly what computing it directly gives.  Everything the oracle
+learns is kept in one memo per (shape, p) for the life of the process;
+`clear` forgets it all.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from math import gcd, prod
 
 from . import gf
 from .intervals import IntervalModule, all_intervals
-from .tube import TubeIndec
+from .tube import TubeIndec, tau
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -704,7 +712,9 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     The budget (`STABCAT_BUDGET`) bounds the maps or submodule tuples of
     each candidate, and holds for cached answers too: the memo's `middle`
     maps (A, B) to the middle terms, the needs (count, unit, E), in sweep
-    order, of each E that reached linear algebra, and the largest need or 0.
+    order, of each E that reached linear algebra, and the largest need or 0,
+    whether (A, B) was computed or shared with its rotation orbit
+    (`_orbit_answer`): exactly what computing (A, B) directly gives.
     """
     a_multiset = tuple(sorted(a_multiset, key=str))
     b_multiset = tuple(sorted(b_multiset, key=str))
@@ -717,6 +727,53 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
         return result
     if not (a_multiset and b_multiset):
         raise OracleError("empty direct sum")
+    answer = _orbit_answer(shape, a_multiset, b_multiset, p)
+    # an orbit-mate's answer was found under the budget of its own query
+    _check_budget(answer[1], a_multiset, b_multiset)
+    middle[a_multiset, b_multiset] = answer
+    return answer[0]
+
+
+def _rotated(multiset, r: int):
+    """`multiset` moved r vertices on the cyclic quiver: S_j^(t) -> S_{j+r}^(t)."""
+    return tuple(sorted((tau(d, -r) for d in multiset), key=str))
+
+
+def _orbit_answer(shape, a_multiset, b_multiset, p: int):
+    """(result, needs, peak) of (A, B).  On a cyclic shape of rank n > 1 it
+    is an orbit-mate's answer in the memo, or else the least rotation's,
+    computed afresh, turned back and with its needs in (A, B)'s candidate
+    order.  A least rotation over the budget sends (A, B) to a direct
+    computation, which raises for (A, B)'s own first candidate over it."""
+    n = shape[1] if shape[0] == "cyclic" else 1
+    if n == 1:
+        return _middle_terms(shape, a_multiset, b_multiset, p)
+    keys = [(a_multiset, b_multiset)]
+    keys += [(_rotated(a_multiset, r), _rotated(b_multiset, r)) for r in range(1, n)]
+    middle = _memo(shape, p).middle
+    r = next((r for r in range(1, n) if keys[r] in middle), None)
+    if r is not None:
+        result, needs, peak = middle[keys[r]]
+    else:
+        r = min(range(n), key=keys.__getitem__)
+        if r == 0:
+            return _middle_terms(shape, a_multiset, b_multiset, p)
+        try:
+            result, needs, peak = _middle_terms(shape, *keys[r], p)
+        except BudgetExceededError:
+            return _middle_terms(shape, a_multiset, b_multiset, p)
+    reps = [build_indec(shape, d, p) for d in a_multiset + b_multiset]
+    target = tuple((v, sum(rep.dims[v] for rep in reps)) for v in vertices(shape))
+    # each E turned back is held as the very tuple `_candidates` keeps for (A, B)
+    canon = {cand: (i, cand) for i, (cand, _, _) in enumerate(_candidates(shape, p, target))}
+    needs = sorted((canon[_rotated(cand, -r)], count, unit) for count, unit, cand in needs)
+    return (frozenset(canon[_rotated(ms, -r)][1] for ms in result),
+            tuple((count, unit, cand) for (_, cand), count, unit in needs), peak)
+
+
+def _middle_terms(shape, a_multiset, b_multiset, p: int):
+    """(result, needs, peak) of the nonempty sorted (A, B), computed by the
+    linear algebra of `middle_terms_of_sums`, which stores it."""
     verts = vertices(shape)
     reps = {d: build_indec(shape, d, p) for d in a_multiset + b_multiset}
     a_dims, b_dims = ({v: sum(reps[d].dims[v] for d in ms) for v in verts}
@@ -756,9 +813,7 @@ def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
             _check_budget(needs[-1:], a_multiset, b_multiset)
             if _has_sub_quotient(shape, p, cand, dims_query, (a_multiset, b_multiset)):
                 found.add(cand)
-    result = frozenset(found)
-    middle[a_multiset, b_multiset] = result, tuple(needs), max((n for n, _, _ in needs), default=0)
-    return result
+    return frozenset(found), tuple(needs), max((n for n, _, _ in needs), default=0)
 
 
 def middle_terms_bruteforce(shape, a, b, p: int = 2):

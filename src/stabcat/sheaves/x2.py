@@ -17,7 +17,7 @@ reported window only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import tube
 from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
@@ -35,14 +35,13 @@ ORD_VALIDATION_LENGTH = 3
 class X2Line:
     l: int
     e: int
+    # the degree 2l + e, kept once: the hot paths read it on every call
+    dd: int = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self):
         if self.e not in (0, 1):
             raise AmbientError("line bundle x1-coefficient must be 0 or 1")
-
-    @property
-    def dd(self) -> int:
-        return 2 * self.l + self.e
+        object.__setattr__(self, "dd", 2 * self.l + self.e)
 
     def __str__(self):
         return f"O({self.l}c+{self.e}x1)"

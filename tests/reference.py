@@ -21,7 +21,10 @@ Each function is the slow, descriptor-level path a fast path replaced:
   quotient by `solve_many` and `cokernel_rep` (`_sub_and_quotient_reference`)
   for `_sub_and_quotient`, which reads both off the pivots;
 - Gauss-Jordan elimination over `Fraction`s (`_invert_reference`) for the
-  oracle's fraction-free `_invert`.
+  oracle's fraction-free `_invert`;
+- each middle-term query computed by itself, in its own frame
+  (`direct_middle_answers`), for the answers `middle_terms_of_sums` shares
+  across a rotation orbit of the cyclic quiver.
 
 They run on small carriers only and are imported by the tests alone.
 """
@@ -326,3 +329,16 @@ def _invert_reference(matrix):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     den = lcm(*(x.denominator for row in a for x in row[n:]))
     return tuple(tuple(int(x * den) for x in row[n:]) for row in a), den
+
+
+def direct_middle_answers(queries) -> dict:
+    """{(shape, p, A, B): (result, needs, peak)} for each (shape, p, A, B)
+    with sorted multisets A and B, computed one query at a time by the
+    oracle's unshared linear algebra `_middle_terms` on a fresh memo: what a
+    direct computation stores in the memo's `middle`.  The oracle's own memo
+    is left as it was; a query over the budget raises."""
+    saved, oracle._MEMO = oracle._MEMO, {}
+    try:
+        return {(shape, p, a, b): oracle._middle_terms(shape, a, b, p) for shape, p, a, b in queries}
+    finally:
+        oracle._MEMO = saved

@@ -3,10 +3,11 @@ import hashlib
 
 import pytest
 
-from reference import _invert_reference, _sub_and_quotient_reference, _submodules_reference
+from reference import (_invert_reference, _sub_and_quotient_reference, _submodules_reference,
+                       direct_middle_answers)
 from stabcat import gf, oracle
 from stabcat.intervals import IntervalModule
-from stabcat.tube import TubeIndec
+from stabcat.tube import TubeIndec, tau
 
 
 def test_build_tube_dims():
@@ -14,6 +15,20 @@ def test_build_tube_dims():
     assert (rep.dims[0], rep.dims[1], rep.dims[2]) == (1, 1, 0)
     nonzero = [k for k, m in rep.maps.items() if any(any(row) for row in m)]
     assert len(nonzero) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rotation_moves_tube_representations_one_vertex_on(p):
+    """The fact the rotation sharing rests on: the representation of
+    tau^-1 S_j^(t) = S_{j+1}^(t) is that of S_j^(t) with every dimension and
+    map moved from vertex v to v+1."""
+    for n in range(1, 5):
+        shape = ("cyclic", n)
+        for x in (TubeIndec(n, j, t) for j in range(n) for t in range(1, 2 * n + 1)):
+            rep, moved = (oracle.build_indec(shape, d, p) for d in (x, tau(x, -1)))
+            for v in range(n):
+                assert moved.dims[(v + 1) % n] == rep.dims[v], (str(x), v)
+                assert moved.maps["c", (v + 1) % n] == rep.maps["c", v], (str(x), v)
 
 
 def test_build_interval():
@@ -126,6 +141,52 @@ def test_budget_holds_on_cache_hits(monkeypatch, empty_oracle):
         assert str(exc.value) == message
     monkeypatch.setenv("STABCAT_BUDGET", "8")  # the largest need of either sweep
     assert [oracle.middle_terms_of_sums(("cyclic", 1), a, b, p=2) for a, b in queries] == warm
+
+
+def _least_rotation(n, a, b):
+    keys = [(oracle._rotated(a, r), oracle._rotated(b, r)) for r in range(n)]
+    return min(range(n), key=keys.__getitem__)
+
+
+@pytest.mark.parametrize("n, a, b, budget", [
+    (2, ((1, 1),), ((0, 1),), "1"),
+    (3, ((2, 1),), ((1, 2),), "1"),
+    # the least rotation meets its first candidate over the budget elsewhere
+    # in its own candidate order
+    (2, ((1, 1), (1, 1), (1, 2)), ((0, 1), (1, 1)), "44"),
+    (3, ((1, 1), (2, 1), (2, 2)), ((0, 1), (2, 1)), "6"),
+])
+def test_budget_holds_on_rotated_queries(monkeypatch, empty_oracle, n, a, b, budget):
+    """A query answered through its rotation orbit raises exactly what a
+    direct computation of it raises: fresh, through an orbit-mate computed
+    without a budget, and on its own cache hit."""
+    shape = ("cyclic", n)
+    a, b = (tuple(sorted((TubeIndec(n, j, t) for j, t in ms), key=str)) for ms in (a, b))
+    assert _least_rotation(n, a, b) != 0
+    monkeypatch.setenv("STABCAT_BUDGET", budget)
+    with pytest.raises(oracle.BudgetExceededError) as direct:
+        direct_middle_answers([(shape, 2, a, b)])
+
+    def raised():
+        with pytest.raises(oracle.BudgetExceededError) as exc:
+            oracle.middle_terms_of_sums(shape, a, b, p=2)
+        assert (a, b) not in oracle._MEMO[shape, 2].middle
+        return str(exc.value)
+
+    assert raised() == str(direct.value)
+    oracle.clear()
+    with monkeypatch.context() as m:
+        m.delenv("STABCAT_BUDGET")
+        mates = [(oracle._rotated(a, r), oracle._rotated(b, r)) for r in range(1, n)]
+        for mate in mates:
+            oracle.middle_terms_of_sums(shape, *mate, p=2)
+    assert raised() == str(direct.value)
+    with monkeypatch.context() as m:
+        m.delenv("STABCAT_BUDGET")
+        oracle.middle_terms_of_sums(shape, a, b, p=2)
+    with pytest.raises(oracle.BudgetExceededError) as exc:
+        oracle.middle_terms_of_sums(shape, a, b, p=2)
+    assert str(exc.value) == str(direct.value)
 
 
 def test_submodule_path_agrees_with_map_path():
@@ -414,11 +475,24 @@ def _sub_quotient_classes_reference(shape, p, e_multiset, dims_query):
     return frozenset(classes)
 
 
+def _rotation_closure(keys) -> list:
+    """Every rotation of each sweep key (shape, p, E, dims) on a cyclic shape:
+    E's segments and the dimension vector moved r vertices on, 0 <= r < n."""
+    out = {}
+    for shape, p, e_multiset, dims_query in keys:
+        n = shape[1]
+        for r in range(n):
+            dims = tuple(sorted(((v + r) % n, k) for v, k in dims_query))
+            out.setdefault((shape, p, oracle._rotated(e_multiset, r), dims), None)
+    return list(out)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, empty_oracle, p):
     """Every submodule query of one T_2 closure sweep, from empty caches,
-    answers membership in the full class set; driven to its end, each sweep
-    has seen exactly that set and passed each submodule once."""
+    answers membership in the full class set; driven to its end, the sweep
+    of each asked key and of each rotation of one has seen exactly that set
+    and passed each submodule once."""
     shape = ("cyclic", 2)
     queries, visits, current = [], {}, []
     has, subs = oracle._has_sub_quotient, oracle._submodules_with_dims
@@ -439,13 +513,17 @@ def test_resumable_sweep_agrees_with_full_enumeration(monkeypatch, empty_oracle,
     keys = {args[:4] for args, _ in queries}
     # the sweeps share work: some queries resume a sweep another query began,
     # and some sweeps end early
-    assert 100 <= len(keys) < len(queries)
+    assert len(keys) < len(queries)
+    # the sweeps a rotation orbit shares are asked in one frame only; their
+    # rotations are driven from scratch below
+    rotated = _rotation_closure(keys)
+    assert len(rotated) >= 100
     sweeps = oracle._MEMO[shape, p].sweeps
     assert any(resume is not None for _, resume in sweeps.values())
-    reference = {key: _sub_quotient_classes_reference(*key) for key in keys}
+    reference = {key: _sub_quotient_classes_reference(*key) for key in rotated}
     for args, got in queries:
         assert got == (args[4] in reference[args[:4]]), args
-    for key in keys:
+    for key in rotated:
         assert not oracle._has_sub_quotient(*key, None)
         assert sweeps[key[2:]] == (set(reference[key]), None), key
         e_rep = oracle.direct_sum([oracle.build_indec(shape, d, p) for d in key[2]])
@@ -476,7 +554,8 @@ def _assert_sweep_agrees_with_reference(shape, p, e_multiset, dims_query):
 
 @pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_echelon_sweep_agrees_with_rank_reference_on_closure_keys(monkeypatch, empty_oracle, n, p):
-    """Every (E, dims) sweep that the T_n closure suite over GF(p) asks."""
+    """Every (E, dims) sweep that the T_n closure suite over GF(p) asks, in
+    each of its rotations: the suite asks one frame of each rotation orbit."""
     from stabcat import checks
 
     keys, has = {}, oracle._has_sub_quotient
@@ -487,8 +566,10 @@ def test_echelon_sweep_agrees_with_rank_reference_on_closure_keys(monkeypatch, e
 
     monkeypatch.setattr(oracle, "_has_sub_quotient", record)
     assert checks.check_tube_closure(n, p=p).ok
-    assert len(keys) > 400
-    for key in keys:
+    rotated = _rotation_closure(keys)
+    assert len(keys) < len(rotated)
+    assert len(rotated) > 400
+    for key in rotated:
         _assert_sweep_agrees_with_reference(*key)
 
 
@@ -596,6 +677,21 @@ def test_closure_suite_cache_contents_and_sweep_state(empty_oracle):
             assert type(pair) is tuple and len(pair) == 2
             assert all(type(side) is tuple and all(type(d) is TubeIndec for d in side)
                        for side in pair)
+
+
+@pytest.mark.parametrize("suite", ["tube-closure-t3", "tube-closure-t3-gf3", "tube-middle-gf3"])
+def test_shared_middle_answers_equal_direct_computation(empty_oracle, suite):
+    """Every middle-term answer a suite leaves in the memo, results, needs
+    and peak, equals the direct computation of its own query."""
+    from stabcat import checks
+
+    assert checks.run_suite(suite).ok
+    entries = {(shape, p, a, b): answer for (shape, p), memo in oracle._MEMO.items()
+               for (a, b), answer in memo.middle.items()}
+    assert any(_least_rotation(key[0][1], *key[2:]) for key in entries)
+    direct = direct_middle_answers(entries)
+    for key, answer in entries.items():
+        assert answer == direct[key], [str(d) for d in key[2]] + ["|"] + [str(d) for d in key[3]]
 
 
 def test_clear_gives_back_the_memo_memory(empty_oracle):

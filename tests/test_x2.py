@@ -21,6 +21,22 @@ def test_degree_order_and_line_homs(amb):
     assert X2Line(0, 1).dd == 1 and X2Line(-1, 1).dd == -1
 
 
+def test_stored_degree_is_2l_plus_e_and_invisible_to_compare():
+    """`dd` is stored once per line; it stays out of ==, hash, order and repr."""
+    import dataclasses
+    import pickle
+
+    lines = [X2Line(l, e) for l in range(-60, 61) for e in (0, 1)]
+    assert all(x.dd == 2 * x.l + x.e for x in lines)
+    assert sorted(lines, key=lambda x: x.dd) == sorted(lines)
+    assert [line_of_dd(x.dd) for x in lines] == lines
+    x = X2Line(-3, 1)
+    assert repr(x) == "X2Line(l=-3, e=1)" and hash(x) == hash((-3, 1))
+    assert pickle.loads(pickle.dumps(x)).dd == -5 and dataclasses.replace(x, e=0).dd == -6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.dd = 0
+
+
 def test_line_to_torsion_homs(amb):
     assert amb.hom_nonzero(X2Line(0, 0), X2Exc(0, 1))    # Hom(O, S_{1,0}) != 0
     assert not amb.hom_nonzero(X2Line(0, 0), X2Exc(1, 1))
