@@ -8,8 +8,9 @@ on actual objects (`_middles_actual`, `decompositions`), embed the results in
 the carrier and keep the ones inside it (`_in_carrier`).  A model supplies
 those rules, not the sweep.  Where the union of a pair's middle-term
 components has a closed form, the model also gives that union as ranges of
-its families in degree order (`families`, `middle_ranges`): the P^1 and
-X(2) line-bundle pairs and every Kronecker pair.  Neither is memoised: the
+its families in degree order (`families`, `middle_ranges`): the
+line-bundle pairs of the weighted-projective-line model (P^1, and X(2)
+through it) and every Kronecker pair.  Neither is memoised: the
 carrier context (`subcat.ctx_for`) turns each range into a mask from
 prefix masks per family, ORs the components `embedded_middles` yields for
 every other pair, and fills its bitmask table one row per τ-orbit;

@@ -27,6 +27,8 @@ def _parse_options(spec, parts):
         if key not in _OPTIONS:
             raise AmbientError(f"unknown ambient option {key!r} in {spec!r} "
                                f"(known: {', '.join(_OPTIONS)})")
+        if key in opts:
+            raise AmbientError(f"ambient option {key!r} given twice in {spec!r}")
         opts[key] = val
     return opts
 

@@ -181,7 +181,7 @@ def cmd_oracle_check(args):
         try:
             result = run_suite(name, jobs=args.jobs)
         except KeyError as exc:
-            raise CliError(str(exc), EXIT_PARSE)
+            raise CliError(exc.args[0], EXIT_PARSE)
         print(result.summary())
         if not result.ok:
             worst = EXIT_MISMATCH

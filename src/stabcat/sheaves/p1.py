@@ -1,15 +1,20 @@
-"""Windowed model of coherent sheaves on the projective line.
+"""Windowed model of coherent sheaves on the projective line, the weighted
+projective line of weight type ().
 
 Line bundles O(n) for n in a degree window, plus rank-one torsion tubes at a
 finite point sample.  Hom rules: deg-monotone between line bundles, always
 nonzero from a line bundle into torsion, never back, tubes at distinct
 points orthogonal.
+
+The line-family and ordinary-point rules are written once, here, for a
+point whose simple has degree `WEIGHT` (1 on P^1).  The model of X(2)
+(stabcat.sheaves.x2) is this one with weight 2 plus its exceptional tube.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import tube
 from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
@@ -24,6 +29,11 @@ DEFAULT_POINTS = ("0", "1", "lam", "mu", "nu", "xi")
 @dataclass(frozen=True, order=True)
 class P1Line:
     n: int
+    # the degree under the name the weighted models share
+    dd: int = field(init=False, repr=False, hash=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dd", self.n)
 
     def __str__(self):
         return f"O({self.n})"
@@ -47,83 +57,97 @@ def point_phase(x: str) -> Phase:
 
 
 class P1Ambient(Ambient):
+    """P^1 in a degree window, its rules written for any weight: they read
+    the classes `Line` and `Tor`, a line bundle's degree `dd` and `WEIGHT`,
+    the degree of a point's simple, so that X(2) subclasses this model.
+    The carrier's lines start `MARGIN` columns below the window, room for
+    boundary HN factors."""
+
+    KIND, POINTS, WEIGHT, MARGIN = "p1", DEFAULT_POINTS, 1, 0
+    Line, Tor, line_of = P1Line, P1Tor, staticmethod(P1Line)
+
     def __init__(self, lo: int, hi: int, n_points: int = 3):
         if lo > hi:
             raise AmbientError("empty degree window")
         self.lo, self.hi = lo, hi
-        self.points = sample_points(DEFAULT_POINTS, n_points)
-        self._lines = tuple(P1Line(n) for n in range(lo, hi + 1))
-        carrier = list(self._lines)
-        carrier += [P1Tor(x, t) for x in self.points for t in (1, 2)]
-        super().__init__(f"p1:window={lo}..{hi}:points={n_points}", carrier)
+        self.inner_lo = lo - self.MARGIN
+        self.points = sample_points(self.POINTS, n_points)
+        w = self.WEIGHT
+        self._dds = range(w * self.inner_lo, w * (hi + 1))  # the carrier's line degrees
+        self._lines = tuple(map(self.line_of, self._dds))
+        carrier = [*self._lines, *self.exc_tube_members()]
+        carrier += [self.Tor(x, t) for x in self.points for t in (1, 2)]
+        super().__init__(f"{self.KIND}:window={lo}..{hi}:points={n_points}", carrier)
 
     def embed(self, d):
-        if isinstance(d, P1Tor) and d.t > 2:
-            return P1Tor(d.x, 2)
+        if isinstance(d, self.Tor) and d.t > 2:
+            return self.Tor(d.x, 2)
         return d
 
     def _instances(self, d) -> list:
-        if isinstance(d, P1Tor):
-            return [P1Tor(d.x, t) for t in tube.family(d.t, 1, FAMILY_INSTANCES)]
+        if isinstance(d, self.Tor):
+            return [self.Tor(d.x, t) for t in tube.family(d.t, 1, FAMILY_INSTANCES)]
         return [d]
 
     def hom_nonzero(self, a, b) -> bool:
-        if isinstance(a, P1Line):
-            if isinstance(b, P1Line):
-                return a.n <= b.n
-            return True
-        if isinstance(b, P1Line):
-            return False
-        return a.x == b.x
+        line = self.Line
+        if isinstance(a, line):
+            return not isinstance(b, line) or a.dd <= b.dd
+        return not isinstance(b, line) and a.x == b.x
 
     def _in_carrier(self, d) -> bool:
-        if isinstance(d, P1Line):
-            return self.lo <= d.n <= self.hi
-        return True
+        return not isinstance(d, self.Line) or d.dd in self._dds
 
     def families(self) -> tuple:
         return (self._lines,)
 
     def middle_ranges(self, a, b):
-        """Between O(a) and O(b), every line of degree a+1..b-1."""
-        if type(a) is P1Line and type(b) is P1Line:
-            return ((0, a.n - self.lo + 2, b.n - self.lo, 1),)
+        """Between line bundles of degrees dd(a) < dd(b): every line strictly
+        between when the weight w does not divide the gap; when it does, the
+        filter of `_middles_actual` leaves the lines at dd(a)+w, dd(a)+2w,
+        ..., dd(b)-w.  Exact for the weights 1 and 2."""
+        if type(a) is self.Line and type(b) is self.Line:
+            base, w = self._dds.start - 1, self.WEIGHT
+            lo, hi = a.dd - base, b.dd - base
+            step = w if (hi - lo) % w == 0 else 1
+            return ((0, lo + step, hi - step, step),)
         return None
 
     def _middles_actual(self, a, b):
-        out = []
-        if isinstance(a, P1Line) and isinstance(b, P1Line):
-            # 0 -> O(a) -> O(c) + O(d) -> O(b) -> 0 for a < c <= d < b
-            out.extend((P1Line(c), P1Line(d)) for c, d in degree_pairs(a.n, b.n))
-        elif isinstance(a, P1Line) and isinstance(b, P1Tor):
+        line, tor, line_of, w = self.Line, self.Tor, self.line_of, self.WEIGHT
+        if isinstance(a, line) and isinstance(b, line):
+            # 0 -> O(a) -> O(c) + O(d) -> O(b) -> 0 for a < c <= d < b; no
+            # coprime section pair exists when w divides neither degree gap
+            return [(line_of(c), line_of(d)) for c, d in degree_pairs(a.dd, b.dd)
+                    if (c - a.dd) % w == 0 or (d - a.dd) % w == 0]
+        if isinstance(a, line) and isinstance(b, tor):
             # the line absorbs the bottom length s of the torsion quotient
-            for s in range(1, b.t + 1):
-                line = P1Line(a.n + s)
-                if s == b.t:
-                    out.append((line,))
-                else:
-                    out.append((line, P1Tor(b.x, b.t - s)))
-        elif isinstance(a, P1Tor) and isinstance(b, P1Tor) and a.x == b.x:
-            out.extend(tuple(P1Tor(a.x, t) for t in lens)
-                       for lens in tube.homogeneous_middle_lengths(a.t, b.t))
-        return out
+            return [(line_of(a.dd + w * s),) + ((tor(b.x, b.t - s),) if s < b.t else ())
+                    for s in range(1, b.t + 1)]
+        if isinstance(a, tor) and isinstance(b, tor) and a.x == b.x:
+            return [tuple(tor(a.x, t) for t in lens)
+                    for lens in tube.homogeneous_middle_lengths(a.t, b.t)]
+        return []
 
     def decompositions(self, d) -> tuple:
-        if isinstance(d, P1Tor):
-            return tuple(((P1Tor(d.x, r),), (P1Tor(d.x, q),))
+        if isinstance(d, self.Tor):
+            return tuple(((self.Tor(d.x, r),), (self.Tor(d.x, q),))
                          for r, q in tube.homogeneous_chain_splits(d.t))
         return one_phase_quotients(self, d)
 
     def spread_splits(self, d):
-        """A line bundle's quotient by O(m) spreads the gap over the points,
-        each summand of length 1 or at least 2 (S_x^(1) or S_x^(2))."""
-        if not isinstance(d, P1Line):
+        """A line bundle's quotient by a line sub spreads the degree gap over
+        the points, each summand of length 1 or at least 2 (S_x^(1) or
+        S_x^(2)), each length counting w times."""
+        if not isinstance(d, self.Line):
             return None
-        slots = tuple(((P1Tor(x, 1), 1, 0), (P1Tor(x, 2), 2, 1)) for x in self.points)
-        return slots, [((sub,), d.n - sub.n) for sub in self._lines[:max(0, d.n - self.lo)]]
+        w, tor = self.WEIGHT, self.Tor
+        slots = tuple(((tor(x, 1), w, 0), (tor(x, 2), 2 * w, w)) for x in self.points)
+        subs = self._lines[:max(0, d.dd - self._dds.start)]
+        return slots, [((sub,), d.dd - sub.dd) for sub in subs]
 
     def lengthen(self, item, length: int):
-        return P1Tor(item.x, length)
+        return self.Tor(item.x, length // self.WEIGHT)
 
     def hn_scope(self) -> tuple:
         out = list(self._lines)
@@ -147,7 +171,11 @@ class P1Ambient(Ambient):
         raise AmbientError(f"cannot parse sheaf descriptor {s!r}")
 
     def tube_members(self, x: str) -> frozenset:
-        return frozenset({P1Tor(x, 1), P1Tor(x, 2)})
+        return frozenset({self.Tor(x, 1), self.Tor(x, 2)})
+
+    def exc_tube_members(self) -> frozenset:
+        """The members of the exceptional tubes: P^1 has none."""
+        return frozenset()
 
 
 def finest_p1(amb: P1Ambient, point_order=None) -> StabilityData:

@@ -1,13 +1,16 @@
 """Windowed model of coherent sheaves on the weighted projective line of
-weight type (2).
+weight type (2): P^1's model (stabcat.sheaves.p1) with weight 2 plus one
+exceptional point.
 
 Line bundles O(l c + e x1) are indexed by the rank-one string group, totally
 ordered by the degree dd = 2l + e.  The torsion part has one rank-two
 exceptional tube with simples S[1,0], S[1,1] and rank-one ordinary tubes at
-the sample points.  The quotient of O(x) by a line subsheaf splits into at
-most one torsion sheaf per point; at the exceptional point its top parity
-equals dd(x) mod 2 (the multiplication-by-X1 chain), which is the only
-subtlety the Hom and extension rules carry.
+the sample points, whose simples have degree 2.  The line-bundle and
+ordinary-point rules are P^1's, read with that weight; this module adds
+only the exceptional tube.  The quotient of O(x) by a line subsheaf splits
+into at most one torsion sheaf per point; at the exceptional point its top
+parity equals dd(x) mod 2 (the multiplication-by-X1 chain), which is the
+only subtlety the exceptional Hom and extension rules carry.
 
 The internal carrier keeps one extra line-bundle column below the reported
 window so that boundary HN factors exist; validation quantifies over the
@@ -20,11 +23,11 @@ import re
 from dataclasses import dataclass, field
 
 from .. import tube
-from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
-                       one_phase_quotients, positive, sample_points)
+from ..ambient import FAMILY_INSTANCES, AmbientError, WindowError, positive
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
+from .p1 import P1Ambient
 
 X2_POINTS = ("0", "1", "lam")
 EXC_VALIDATION_LENGTH = 6
@@ -91,18 +94,18 @@ def point_phase(x: str) -> Phase:
     return Phase.parse(f"(inf|pt:{x})")
 
 
-class X2Ambient(Ambient):
+class X2Ambient(P1Ambient):
+    """P^1's model with weight 2 and one margin column, plus the exceptional
+    tube: each method answers the exceptional-tube cases and hands every
+    other case to P1Ambient."""
+
+    KIND, POINTS, WEIGHT, MARGIN = "x2", X2_POINTS, 2, 1
+    Line, Tor, line_of = X2Line, X2Ord, staticmethod(line_of_dd)
+
     def __init__(self, lo: int, hi: int, n_points: int = 3):
         if lo > hi:
             raise AmbientError("empty window")
-        self.lo, self.hi = lo, hi
-        self.inner_lo = lo - 1  # margin column for boundary HN factors
-        self.points = sample_points(X2_POINTS, n_points)
-        self._lines = tuple(X2Line(l, e) for l in range(self.inner_lo, hi + 1) for e in (0, 1))
-        carrier = list(self._lines)
-        carrier += [X2Exc(j, rt) for j in (0, 1) for rt in (1, 2, 3, 4)]
-        carrier += [X2Ord(x, rt) for x in self.points for rt in (1, 2)]
-        super().__init__(f"x2:window={lo}..{hi}:points={n_points}", carrier)
+        super().__init__(lo, hi, n_points)
 
     def reported_members(self) -> tuple:
         return tuple(d for d in self._carrier
@@ -116,109 +119,58 @@ class X2Ambient(Ambient):
         return self._lines
 
     def embed(self, d):
-        if isinstance(d, X2Exc) and d.t > 4:
-            return X2Exc(d.j, tube.rho(d.t, 2))
-        if isinstance(d, X2Ord) and d.t > 2:
-            return X2Ord(d.x, 2)
-        return d
+        if isinstance(d, X2Exc):
+            return X2Exc(d.j, tube.rho(d.t, 2)) if d.t > 4 else d
+        return super().embed(d)
 
     def _instances(self, d) -> list:
         if isinstance(d, X2Exc):
             return [X2Exc(d.j, t) for t in tube.family(d.t, 2, FAMILY_INSTANCES)]
-        if isinstance(d, X2Ord):
-            return [X2Ord(d.x, t) for t in tube.family(d.t, 1, FAMILY_INSTANCES)]
-        return [d]
+        return super()._instances(d)
 
     def hom_nonzero(self, a, b) -> bool:
-        if isinstance(a, X2Line):
-            if isinstance(b, X2Line):
-                return a.dd <= b.dd
-            if isinstance(b, X2Exc):
+        if isinstance(a, X2Exc) or isinstance(b, X2Exc):
+            if isinstance(a, X2Line):
                 # image of the torsionization of the line, top parity dd mod 2
                 return b.t >= 2 or b.j == a.dd % 2
-            return True
-        if isinstance(b, X2Line):
-            return False
-        if isinstance(a, X2Exc) and isinstance(b, X2Exc):
-            return tube.hom_nonzero(_exc_tube(a), _exc_tube(b))
-        if isinstance(a, X2Ord) and isinstance(b, X2Ord):
-            return a.x == b.x
-        return False
-
-    def _in_carrier(self, d) -> bool:
-        if isinstance(d, X2Line):
-            return 2 * self.inner_lo <= d.dd <= 2 * self.hi + 1
-        return True
-
-    def families(self) -> tuple:
-        return (self._lines,)
-
-    def middle_ranges(self, a, b):
-        """Between line bundles of degrees dd(a) < dd(b): every line strictly
-        between for an odd gap; for an even gap, the both-gaps-odd filter
-        leaves the lines at even offsets dd(a)+2, dd(a)+4, ..., dd(b)-2."""
-        if type(a) is X2Line and type(b) is X2Line:
-            lo, hi = a.dd - 2 * self.inner_lo + 1, b.dd - 2 * self.inner_lo + 1
-            step = 1 if (hi - lo) % 2 else 2
-            return ((0, lo + step, hi - step, step),)
-        return None
+            return type(a) is type(b) and tube.hom_nonzero(_exc_tube(a), _exc_tube(b))
+        return super().hom_nonzero(a, b)
 
     def _middles_actual(self, a, b):
+        if not isinstance(b, X2Exc):
+            return super()._middles_actual(a, b)
+        if isinstance(a, X2Exc):
+            return [tuple(map(_exc_back, ms))
+                    for ms in tube.middle_terms(_exc_tube(a), _exc_tube(b))]
         out = []
-        if isinstance(a, X2Line) and isinstance(b, X2Line):
-            # no coprime section pair exists when both degree gaps are odd
-            out.extend((line_of_dd(dz), line_of_dd(dw)) for dz, dw in degree_pairs(a.dd, b.dd)
-                       if not ((dz - a.dd) % 2 == 1 and (dw - a.dd) % 2 == 1))
-        elif isinstance(a, X2Line) and isinstance(b, X2Exc):
+        if isinstance(a, X2Line):
             for r in range(b.t):
-                if (a.dd + b.t - b.j - r) % 2 != 0:
-                    continue
-                line = line_of_dd(a.dd + (b.t - r))
-                if r == 0:
-                    out.append((line,))
-                else:
-                    out.append((line, X2Exc((b.j - b.t + r) % 2, r)))
-        elif isinstance(a, X2Line) and isinstance(b, X2Ord):
-            for r in range(b.t):
-                line = line_of_dd(a.dd + 2 * (b.t - r))
-                if r == 0:
-                    out.append((line,))
-                else:
-                    out.append((line, X2Ord(b.x, r)))
-        elif isinstance(a, X2Exc) and isinstance(b, X2Exc):
-            for ms in tube.middle_terms(_exc_tube(a), _exc_tube(b)):
-                out.append(tuple(_exc_back(c) for c in ms))
-        elif isinstance(a, X2Ord) and isinstance(b, X2Ord) and a.x == b.x:
-            out.extend(tuple(X2Ord(a.x, t) for t in lens)
-                       for lens in tube.homogeneous_middle_lengths(a.t, b.t))
+                if (a.dd + b.t - b.j - r) % 2 == 0:
+                    line = line_of_dd(a.dd + (b.t - r))
+                    out.append((line, X2Exc((b.j - b.t + r) % 2, r)) if r else (line,))
         return out
 
     def decompositions(self, d) -> tuple:
         if isinstance(d, X2Exc):
             return tuple(((_exc_back(s),), (_exc_back(q),))
                          for s, q in tube.chain_splits(_exc_tube(d)))
-        if isinstance(d, X2Ord):
-            return tuple(((X2Ord(d.x, r),), (X2Ord(d.x, q),))
-                         for r, q in tube.homogeneous_chain_splits(d.t))
-        return one_phase_quotients(self, d)
+        return super().decompositions(d)
 
     def spread_splits(self, d):
-        """A line bundle's quotient by a line sub spreads the degree gap: at
+        """P^1's spread of a line bundle's quotient, with weight 2, behind at
         most one exceptional summand of top parity dd mod 2 and length 1, 2,
-        odd >= 3 or even >= 4 (embedded S^(1)..S^(4)), and ordinary summands
-        of length 1 or at least 2, each length counting twice."""
-        if not isinstance(d, X2Line):
+        odd >= 3 or even >= 4 (embedded S^(1)..S^(4))."""
+        splits = super().spread_splits(d)
+        if splits is None:
             return None
-        parity = d.dd % 2
-        slots = (tuple((X2Exc(parity, t), t, 0 if t < 3 else 2) for t in (1, 2, 3, 4)),)
-        slots += tuple(((X2Ord(x, 1), 2, 0), (X2Ord(x, 2), 4, 2)) for x in self.points)
-        subs = self._lines[:max(0, d.dd - 2 * self.inner_lo)]
-        return slots, [((sub,), d.dd - sub.dd) for sub in subs]
+        slots, pairs = splits
+        exc = tuple((X2Exc(d.dd % 2, t), t, 0 if t < 3 else 2) for t in (1, 2, 3, 4))
+        return (exc,) + slots, pairs
 
     def lengthen(self, item, length: int):
         if isinstance(item, X2Exc):
             return X2Exc(item.j, length)
-        return X2Ord(item.x, length // 2)
+        return super().lengthen(item, length)
 
     def hn_scope(self) -> tuple:
         out = list(self.reported_lines())
@@ -248,9 +200,6 @@ class X2Ambient(Ambient):
                 raise AmbientError(f"unknown ordinary point {x!r}")
             return self.embed(X2Ord(x, t))
         raise AmbientError(f"cannot parse sheaf descriptor {s!r}")
-
-    def ord_tube_members(self, x: str) -> frozenset:
-        return frozenset({X2Ord(x, 1), X2Ord(x, 2)})
 
     def exc_tube_members(self) -> frozenset:
         return frozenset(X2Exc(j, rt) for j in (0, 1) for rt in (1, 2, 3, 4))
@@ -347,7 +296,7 @@ def finest_x2(amb: X2Ambient, family: str, m: int | None = None,
         elif token == EXC_HI:
             ph, piece = exc_phase("hi"), exc["hi"]
         else:
-            ph, piece = point_phase(token), amb.ord_tube_members(token)
+            ph, piece = point_phase(token), amb.tube_members(token)
         phases.append(ph)
         pieces[ph] = piece
     if lo_phase not in pieces:
@@ -381,7 +330,7 @@ def x2_torsion_family(amb: X2Ambient, row: str, points=None, shift: int = 0) -> 
             raise AmbientError(f"unknown points {sorted(pts - set(amb.points) - {'inf'})}")
         t = frozenset()
         for x in pts:
-            t |= amb.exc_tube_members() if x == "inf" else amb.ord_tube_members(x)
+            t |= amb.exc_tube_members() if x == "inf" else amb.tube_members(x)
         return TorsionPair(t, right_perp(amb, t))
     if row in ("II", "III"):
         pts = frozenset(points if points is not None else ())
@@ -391,7 +340,7 @@ def x2_torsion_family(amb: X2Ambient, row: str, points=None, shift: int = 0) -> 
         if row == "III":
             t = frozenset(X2Exc(1, rt) for rt in (1, 2, 3, 4))
         for x in pts:
-            t |= amb.ord_tube_members(x)
+            t |= amb.tube_members(x)
         return TorsionPair(t, right_perp(amb, t))
     if row == "IV":
         t = frozenset(d for d in carrier

@@ -36,6 +36,19 @@ def test_phase_quotients_defined_once():
     assert [c.__name__ for c in classes if "phase_quotients" in vars(c)] == ["Ambient"]
 
 
+def test_weighted_line_rules_defined_once():
+    """X(2)'s model is P^1's with weight 2 plus its exceptional tube: the
+    line-family rules live in P1Ambient alone, and the two models keep
+    distinct object classes."""
+    from stabcat.sheaves import P1Ambient, P1Line, X2Ambient, X2Line
+
+    assert issubclass(X2Ambient, P1Ambient)
+    assert not {"families", "middle_ranges", "_in_carrier"} & set(vars(X2Ambient))
+    assert P1Tor is not X2Ord and P1Line is not X2Line
+    assert P1Tor("0", 1) != X2Ord("0", 1) and str(P1Tor("0", 1)) == str(X2Ord("0", 1))
+    assert P1Line(3).dd == 3 and str(P1Line(3)) == "O(3)" and str(X2Line(1, 1)) == "O(1c+1x1)"
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_identity_morphisms(spec):
     amb = parse_ambient(spec)
@@ -65,7 +78,8 @@ def test_spec_string_round_trip():
 
 
 def test_bad_specs_rejected():
-    for bad in ["tube", "an:x", "p1:window=5..-5", "q5:window=1..2", "p1:window=1"]:
+    for bad in ["tube", "an:x", "p1:window=5..-5", "q5:window=1..2", "p1:window=1",
+                "p1:window=1..1:window=2..2"]:
         with pytest.raises((AmbientError, ValueError)):
             parse_ambient(bad)
 

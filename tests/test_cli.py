@@ -154,6 +154,17 @@ def test_unknown_ambient_option_exit_two(spec, key):
                           "(known: points, window)\n")
 
 
+@pytest.mark.parametrize("spec, key", [
+    ("p1:window=1..1:window=2..2", "window"),
+    ("x2:points=1:window=0..0:points=2", "points"),
+    ("kronecker:window=3:window=3", "window"),
+])
+def test_repeated_ambient_option_exit_two(spec, key):
+    out = run_cli("finest", "--ambient", spec)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == f"error: bad ambient spec: ambient option {key!r} given twice in {spec!r}\n"
+
+
 def test_enumeration_bound_exit_four():
     out = run_module("finest", "--ambient", "tube:7")
     assert out.returncode == 4
@@ -246,8 +257,12 @@ def test_emitted_json_reparses(tmp_path):
 
 
 def test_oracle_check_unknown_suite():
+    from stabcat.checks import SUITES
+
     out = run_cli("oracle-check", "no-such-suite")
     assert out.returncode == 2
+    assert out.stderr == (f"error: unknown oracle-check suite 'no-such-suite'; "
+                          f"known: {sorted(SUITES)}\n")
 
 
 def test_jobs_flag_result_independent():

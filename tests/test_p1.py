@@ -5,8 +5,9 @@ import pytest
 from stabcat.ambient import AmbientError, WindowError
 from stabcat.sheaves.p1 import (P1Ambient, P1Line, P1Tor, finest_p1, slope_data_p1,
                                 torsion_family_degree, torsion_family_points)
-from stabcat.stability import enumerate_finest, equivalent, is_coarser, is_finest, validate
-from stabcat.torsion import validate_torsion_pair
+from stabcat.stability import (count_finest, enumerate_finest, equivalent, is_coarser,
+                               is_finest, validate)
+from stabcat.torsion import enumerate_torsion_pairs, validate_torsion_pair
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +175,14 @@ def test_hn_uniqueness_on_window(amb):
     for sd in (finest_p1(amb), finest_p1(amb, ["lam", "0", "1"]), slope_data_p1(amb)):
         for x in amb.hn_scope():
             assert len(hn_chains(amb, sd, x)) == 1, str(x)
+
+
+@pytest.mark.parametrize("lo, hi, points, finest, pairs", [
+    (-2, 2, 3, 6, 11), (-10, 10, 4, 24, 35), (0, 0, 2, 2, 3), (-25, 25, 6, 720, 113),
+])
+def test_classification_counts_pinned(lo, hi, points, finest, pairs):
+    """The finest-datum and torsion-pair counts, pinned so that a change to
+    the line or point rules shows here first."""
+    amb = P1Ambient(lo, hi, points)
+    assert count_finest(amb) == finest
+    assert len(enumerate_torsion_pairs(amb)) == pairs

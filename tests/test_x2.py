@@ -5,8 +5,9 @@ import pytest
 from stabcat.ambient import AmbientError, WindowError
 from stabcat.sheaves.x2 import (EXC_HI, EXC_LO, EXC_MID, X2Ambient, X2Exc, X2Line, X2Ord,
                                 finest_x2, line_of_dd, slope_data_x2, x2_torsion_family)
-from stabcat.stability import (enumerate_finest, hn_filtration, is_coarser, is_finest, validate)
-from stabcat.torsion import validate_torsion_pair
+from stabcat.stability import (count_finest, enumerate_finest, hn_filtration, is_coarser,
+                               is_finest, validate)
+from stabcat.torsion import enumerate_torsion_pairs, validate_torsion_pair
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +278,15 @@ def test_hn_uniqueness_on_window(amb):
     sd = slope_data_x2(amb)
     for x in amb.hn_scope():
         assert len(hn_chains(amb, sd, x)) == 1, ("slope", str(x))
+
+
+@pytest.mark.parametrize("lo, hi, points, finest, pairs", [
+    (-2, 2, 3, 960, 70), (-4, 4, 3, 1440, 86), (-6, 6, 3, 1920, 102), (-11, 11, 3, 3120, 142),
+    (-2, 2, 0, 14, 28),
+])
+def test_classification_counts_pinned(lo, hi, points, finest, pairs):
+    """The finest-datum and torsion-pair counts, pinned so that a change to
+    the line, point or exceptional-tube rules shows here first."""
+    amb = X2Ambient(lo, hi, points)
+    assert count_finest(amb) == finest
+    assert len(enumerate_torsion_pairs(amb)) == pairs
