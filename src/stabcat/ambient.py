@@ -26,9 +26,8 @@ quotient one phase owns, below the phases the sub's chains end in.  It
 filters `decompositions`, except on a member with `spread_splits`: there it
 keeps the length classes each phase owns, walks their actual lengths
 (`length_spreads`) and turns each into a summand with the model's
-`lengthen`.  So P^1 and X(2) describe a line bundle's quotients once, and
-their `decompositions` of a line bundle read them back through
-`one_phase_quotients`.
+`lengthen`.  So P^1 and X(2) describe a line bundle's quotients once, in
+`spread_splits`, and list no `decompositions` of a line bundle.
 
 The base class also stores the spec-string name and the carrier, sorted by
 `str`.  A tube carrier member is a plain segment of length 1..2n, one of
@@ -93,13 +92,6 @@ def degree_pairs(lo: int, hi: int) -> list:
     """The pairs (c, lo + hi - c) with lo < c <= lo + hi - c < hi, ascending in
     c: the middle-term degrees of a line family's non-split extensions."""
     return [(c, lo + hi - c) for c in range(lo + 1, (lo + hi) // 2 + 1)]
-
-
-def one_phase_quotients(ambient, x) -> tuple:
-    """Every decomposition of x, read off `ambient.phase_quotients` with each
-    carrier member owned by phase 0 and every sub topped by phase 1."""
-    quotients = ambient.phase_quotients(x, dict.fromkeys(ambient.carrier(), 0), lambda subs: 1)
-    return tuple((subs, quots) for subs, quots, _ in quotients)
 
 
 class AmbientError(ValueError):
@@ -195,7 +187,8 @@ class Ambient:
 
     def decompositions(self, x) -> tuple:
         """Proper (subobject multiset, quotient multiset) pairs of the
-        extended-space object x; complete within the model."""
+        extended-space object x, complete within the model, for every object
+        without `spread_splits`."""
         raise NotImplementedError
 
     def owning_phase(self, quots, owner) -> int:
@@ -262,7 +255,7 @@ class Ambient:
 
     def carrier_decompositions(self, x) -> tuple:
         """(sub, quotient) pairs of the instances of x, in carrier space,
-        each once."""
+        each once, for every member without `spread_splits`."""
         embed = self.embed
         seen = {}
         for inst in self._instances(x):
@@ -276,8 +269,9 @@ class Ambient:
         by every sub and one (subs, total) pair per sub.  The quotient
         supports of a sub are `class_spreads(total, slots)`, with carrier
         members as the items, and its actual quotients the `length_spreads`
-        of those classes, each summand `lengthen(item, length)`.  None for
-        every other member, whose pairs `carrier_decompositions` gives."""
+        of those classes, each summand `lengthen(item, length)`.  This is the
+        only description of those quotients.  None for every other member,
+        whose pairs `decompositions` and `carrier_decompositions` give."""
         return None
 
     def lengthen(self, item, length: int):

@@ -6,9 +6,11 @@ finite point sample.  Hom rules: deg-monotone between line bundles, always
 nonzero from a line bundle into torsion, never back, tubes at distinct
 points orthogonal.
 
-The line-family and ordinary-point rules are written once, here, for a
-point whose simple has degree `WEIGHT` (1 on P^1).  The model of X(2)
-(stabcat.sheaves.x2) is this one with weight 2 plus its exceptional tube.
+Everything the weighted projective lines share is written once, here, for
+a point whose simple has degree `WEIGHT` (1 on P^1): the line-family and
+ordinary-point rules, the margin column, the validation scope, the parser
+and the slope datum.  The model of X(2) (stabcat.sheaves.x2) is this one
+with weight 2 plus its exceptional tube and that tube's descriptors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .. import tube
 from ..ambient import (FAMILY_INSTANCES, Ambient, AmbientError, WindowError, degree_pairs,
-                       one_phase_quotients, positive, sample_points)
+                       positive, sample_points)
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
@@ -48,10 +50,6 @@ class P1Tor:
         return f"S[{self.x}]^({self.t})"
 
 
-_LINE_RE = re.compile(r"^O\((-?\d+)\)$")
-_TOR_RE = re.compile(r"^S\[([^\]]+)\]\^\((\d+)\)$")
-
-
 def point_phase(x: str) -> Phase:
     return Phase.parse(f"(inf|{x})")
 
@@ -61,23 +59,54 @@ class P1Ambient(Ambient):
     the classes `Line` and `Tor`, a line bundle's degree `dd` and `WEIGHT`,
     the degree of a point's simple, so that X(2) subclasses this model.
     The carrier's lines start `MARGIN` columns below the window, room for
-    boundary HN factors."""
+    boundary HN factors; validation quantifies over the reported window
+    only.  `parse` reads a line bundle by `LINE_RE` (its groups are the
+    arguments of `Line`) and a point-tube object by `POINT_RE`."""
 
     KIND, POINTS, WEIGHT, MARGIN = "p1", DEFAULT_POINTS, 1, 0
     Line, Tor, line_of = P1Line, P1Tor, staticmethod(P1Line)
+    LINE_RE, POINT_RE = re.compile(r"^O\((-?\d+)\)$"), re.compile(r"^S\[([^\]]+)\]\^\((\d+)\)$")
+    POINT_NOUN, WINDOW_NOUN = "sample point", "degree window"
 
     def __init__(self, lo: int, hi: int, n_points: int = 3):
         if lo > hi:
-            raise AmbientError("empty degree window")
+            raise AmbientError(f"empty {self.WINDOW_NOUN}")
         self.lo, self.hi = lo, hi
         self.inner_lo = lo - self.MARGIN
         self.points = sample_points(self.POINTS, n_points)
         w = self.WEIGHT
         self._dds = range(w * self.inner_lo, w * (hi + 1))  # the carrier's line degrees
         self._lines = tuple(map(self.line_of, self._dds))
-        carrier = [*self._lines, *self.exc_tube_members()]
-        carrier += [self.Tor(x, t) for x in self.points for t in (1, 2)]
-        super().__init__(f"{self.KIND}:window={lo}..{hi}:points={n_points}", carrier)
+        super().__init__(f"{self.KIND}:window={lo}..{hi}:points={n_points}",
+                         self._lines + self.tubes(2))
+
+    def reported_members(self) -> tuple:
+        return tuple(d for d in self._carrier
+                     if not (isinstance(d, self.Line) and d.dd < self.WEIGHT * self.lo))
+
+    def reported_lines(self) -> tuple:
+        """The line bundles of the reported window, in degree order."""
+        return self._lines[self.WEIGHT * self.MARGIN:]
+
+    def internal_lines(self) -> tuple:
+        """The carrier's line bundles, margin included, in degree order."""
+        return self._lines
+
+    def tubes(self, periods: int) -> tuple:
+        """The torsion objects of length up to `periods` times their tube's
+        rank: the exceptional tubes' (`exc_tube`), then each point's.  The
+        carrier holds two periods, the validation scope three."""
+        return self.exc_tube(periods) + tuple(self.Tor(x, t) for x in self.points
+                                              for t in range(1, periods + 1))
+
+    def exc_tube(self, periods: int) -> tuple:
+        """The exceptional tubes' objects of length up to `periods` times
+        their rank, simple by simple: none on P^1."""
+        return ()
+
+    def exc_tube_members(self) -> frozenset:
+        """The carrier members of the exceptional tubes."""
+        return frozenset(self.exc_tube(2))
 
     def embed(self, d):
         if isinstance(d, self.Tor) and d.t > 2:
@@ -130,10 +159,10 @@ class P1Ambient(Ambient):
         return []
 
     def decompositions(self, d) -> tuple:
-        if isinstance(d, self.Tor):
-            return tuple(((self.Tor(d.x, r),), (self.Tor(d.x, q),))
-                         for r, q in tube.homogeneous_chain_splits(d.t))
-        return one_phase_quotients(self, d)
+        if isinstance(d, self.Line):
+            raise AmbientError(f"{d} lists no decompositions: its quotients are its spread_splits")
+        return tuple(((self.Tor(d.x, r),), (self.Tor(d.x, q),))
+                     for r, q in tube.homogeneous_chain_splits(d.t))
 
     def spread_splits(self, d):
         """A line bundle's quotient by a line sub spreads the degree gap over
@@ -150,32 +179,26 @@ class P1Ambient(Ambient):
         return self.Tor(item.x, length // self.WEIGHT)
 
     def hn_scope(self) -> tuple:
-        out = list(self._lines)
-        out += [P1Tor(x, t) for x in self.points for t in (1, 2, 3)]
-        return tuple(out)
+        return self.reported_lines() + self.tubes(3)
 
     def parse(self, s: str):
         s = s.strip()
-        m = _LINE_RE.match(s)
+        m = self.LINE_RE.match(s)
         if m:
-            n = int(m.group(1))
-            if not self.lo <= n <= self.hi:
-                raise WindowError(f"O({n}) lies outside the window {self.lo}..{self.hi}")
-            return P1Line(n)
-        m = _TOR_RE.match(s)
+            line = self.Line(*(int(g or 0) for g in m.groups()))
+            if line.dd not in self._dds:
+                raise WindowError(f"{line} lies outside the window {self.lo}..{self.hi}")
+            return line
+        m = self.POINT_RE.match(s)
         if m:
             x, t = m.group(1), positive(s, m.group(2))
             if x not in self.points:
-                raise AmbientError(f"unknown sample point {x!r}")
-            return self.embed(P1Tor(x, t))
+                raise AmbientError(f"unknown {self.POINT_NOUN} {x!r}")
+            return self.embed(self.Tor(x, t))
         raise AmbientError(f"cannot parse sheaf descriptor {s!r}")
 
     def tube_members(self, x: str) -> frozenset:
         return frozenset({self.Tor(x, 1), self.Tor(x, 2)})
-
-    def exc_tube_members(self) -> frozenset:
-        """The members of the exceptional tubes: P^1 has none."""
-        return frozenset()
 
 
 def finest_p1(amb: P1Ambient, point_order=None) -> StabilityData:
@@ -194,11 +217,13 @@ def finest_p1(amb: P1Ambient, point_order=None) -> StabilityData:
 
 
 def slope_data_p1(amb: P1Ambient) -> StabilityData:
-    """Slope stability data restricted to the window: integer slopes for line
-    bundles, a single infinite phase holding every torsion sheaf."""
-    phases = [Phase.integer(n) for n in range(amb.lo, amb.hi + 1)] + [Phase.infinity()]
-    pieces = {Phase.integer(n): frozenset({P1Line(n)}) for n in range(amb.lo, amb.hi + 1)}
-    pieces[Phase.infinity()] = frozenset(d for d in amb.carrier() if isinstance(d, P1Tor))
+    """Slope stability data on the carrier, for any weight: each line bundle
+    its own phase at its degree dd, then one infinite phase holding every
+    torsion sheaf."""
+    lines = amb.internal_lines()
+    phases = [Phase.integer(ln.dd) for ln in lines] + [Phase.infinity()]
+    pieces = {Phase.integer(ln.dd): frozenset({ln}) for ln in lines}
+    pieces[Phase.infinity()] = frozenset(d for d in amb.carrier() if not isinstance(d, amb.Line))
     return StabilityData(ExplicitOrder(phases), pieces)
 
 

@@ -5,16 +5,14 @@ exceptional point.
 Line bundles O(l c + e x1) are indexed by the rank-one string group, totally
 ordered by the degree dd = 2l + e.  The torsion part has one rank-two
 exceptional tube with simples S[1,0], S[1,1] and rank-one ordinary tubes at
-the sample points, whose simples have degree 2.  The line-bundle and
-ordinary-point rules are P^1's, read with that weight; this module adds
-only the exceptional tube.  The quotient of O(x) by a line subsheaf splits
+the sample points, whose simples have degree 2.  Everything else is P^1's,
+read with that weight and one margin column of line bundles: the line and
+ordinary-point rules, the validation scope, the parser and the slope
+datum.  This module adds only the exceptional tube and the descriptors
+O(lc+ex1) and S[1,j]^(t).  The quotient of O(x) by a line subsheaf splits
 into at most one torsion sheaf per point; at the exceptional point its top
 parity equals dd(x) mod 2 (the multiplication-by-X1 chain), which is the
 only subtlety the exceptional Hom and extension rules carry.
-
-The internal carrier keeps one extra line-bundle column below the reported
-window so that boundary HN factors exist; validation quantifies over the
-reported window only.
 """
 
 from __future__ import annotations
@@ -27,11 +25,9 @@ from ..ambient import FAMILY_INSTANCES, AmbientError, WindowError, positive
 from ..phases import ExplicitOrder, Phase
 from ..stability import StabilityData
 from ..torsion import TorsionPair
-from .p1 import P1Ambient
+from .p1 import P1Ambient, slope_data_p1
 
 X2_POINTS = ("0", "1", "lam")
-EXC_VALIDATION_LENGTH = 6
-ORD_VALIDATION_LENGTH = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -80,10 +76,7 @@ def _exc_back(t: tube.TubeIndec) -> X2Exc:
     return X2Exc(t.j, t.t)
 
 
-_LINE_RE = re.compile(r"^O\((-?\d+)c(?:\+(\d)x1)?\)$")
-_LINE_SHORT_RE = re.compile(r"^O\((-?\d+)\)$")
 _EXC_RE = re.compile(r"^S\[1,([01])\]\^\((\d+)\)$")
-_ORD_RE = re.compile(r"^S\[([^\],]+)\]\^\((\d+)\)$")
 
 
 def exc_phase(which: str) -> Phase:
@@ -97,26 +90,14 @@ def point_phase(x: str) -> Phase:
 class X2Ambient(P1Ambient):
     """P^1's model with weight 2 and one margin column, plus the exceptional
     tube: each method answers the exceptional-tube cases and hands every
-    other case to P1Ambient."""
+    other case to P1Ambient, and `parse` adds the descriptors S[1,j]^(t)."""
 
     KIND, POINTS, WEIGHT, MARGIN = "x2", X2_POINTS, 2, 1
     Line, Tor, line_of = X2Line, X2Ord, staticmethod(line_of_dd)
-
-    def __init__(self, lo: int, hi: int, n_points: int = 3):
-        if lo > hi:
-            raise AmbientError("empty window")
-        super().__init__(lo, hi, n_points)
-
-    def reported_members(self) -> tuple:
-        return tuple(d for d in self._carrier
-                     if not (isinstance(d, X2Line) and d.l < self.lo))
-
-    def reported_lines(self) -> tuple:
-        return tuple(X2Line(l, e) for l in range(self.lo, self.hi + 1) for e in (0, 1))
-
-    def internal_lines(self) -> tuple:
-        """The carrier's line bundles in dd order."""
-        return self._lines
+    # O(l), O(lc) and O(lc+ex1); a point's name holds no comma
+    LINE_RE = re.compile(r"^O\((-?\d+)(?:c(?:\+(\d)x1)?)?\)$")
+    POINT_RE = re.compile(r"^S\[([^\],]+)\]\^\((\d+)\)$")
+    POINT_NOUN, WINDOW_NOUN = "ordinary point", "window"
 
     def embed(self, d):
         if isinstance(d, X2Exc):
@@ -172,37 +153,15 @@ class X2Ambient(P1Ambient):
             return X2Exc(item.j, length)
         return super().lengthen(item, length)
 
-    def hn_scope(self) -> tuple:
-        out = list(self.reported_lines())
-        out += [X2Exc(j, t) for j in (0, 1) for t in range(1, EXC_VALIDATION_LENGTH + 1)]
-        out += [X2Ord(x, t) for x in self.points for t in range(1, ORD_VALIDATION_LENGTH + 1)]
-        return tuple(out)
+    def exc_tube(self, periods: int) -> tuple:
+        return tuple(X2Exc(j, t) for j in (0, 1) for t in range(1, 2 * periods + 1))
 
     def parse(self, s: str):
         s = s.strip()
-        m = _LINE_RE.match(s)
-        if m:
-            line = X2Line(int(m.group(1)), int(m.group(2) or 0))
-        else:
-            m = _LINE_SHORT_RE.match(s)
-            line = X2Line(int(m.group(1)), 0) if m else None
-        if line is not None:
-            if not self.inner_lo <= line.l <= self.hi:
-                raise WindowError(f"{line} lies outside the window {self.lo}..{self.hi}")
-            return line
         m = _EXC_RE.match(s)
         if m:
             return self.embed(X2Exc(int(m.group(1)), positive(s, m.group(2))))
-        m = _ORD_RE.match(s)
-        if m:
-            x, t = m.group(1), positive(s, m.group(2))
-            if x not in self.points:
-                raise AmbientError(f"unknown ordinary point {x!r}")
-            return self.embed(X2Ord(x, t))
-        raise AmbientError(f"cannot parse sheaf descriptor {s!r}")
-
-    def exc_tube_members(self) -> frozenset:
-        return frozenset(X2Exc(j, rt) for j in (0, 1) for rt in (1, 2, 3, 4))
+        return super().parse(s)
 
 
 FAMILIES = ("full", "coset", "lm")
@@ -229,9 +188,9 @@ def _xtilde_tokens(amb, xtilde_order, lo_among_lines: bool):
     first and is peeled off."""
     default = [EXC_LO, EXC_MID, EXC_HI] + list(amb.points)
     tokens = list(xtilde_order) if xtilde_order is not None else default
-    exc_positions = [tokens.index(t) for t in (EXC_LO, EXC_MID, EXC_HI)]
     if sorted(tokens) != sorted(default):
         raise AmbientError("xtilde order must contain each exceptional marker and point once")
+    exc_positions = [tokens.index(t) for t in (EXC_LO, EXC_MID, EXC_HI)]
     if exc_positions != sorted(exc_positions):
         raise AmbientError("exceptional phases must stay in the order lo < mid < hi")
     if lo_among_lines:
@@ -254,6 +213,8 @@ def finest_x2(amb: X2Ambient, family: str, m: int | None = None,
     """
     if family not in FAMILIES:
         raise AmbientError(f"unknown finest family {family!r}; pick one of {FAMILIES}")
+    if anchor not in (0, 1):
+        raise AmbientError(f"the anchor must be the parity 0 or 1, got {anchor!r}")
     exc = _exc_pieces(anchor)
     other = 1 - anchor
 
@@ -304,14 +265,7 @@ def finest_x2(amb: X2Ambient, family: str, m: int | None = None,
     return StabilityData(ExplicitOrder(phases), pieces)
 
 
-def slope_data_x2(amb: X2Ambient) -> StabilityData:
-    phases = [Phase.integer(ln.dd) for ln in amb.internal_lines()]
-    phases.sort(key=lambda p: p.value)
-    pieces = {Phase.integer(ln.dd): frozenset({ln}) for ln in amb.internal_lines()}
-    inf = Phase.infinity()
-    phases.append(inf)
-    pieces[inf] = frozenset(d for d in amb.carrier() if not isinstance(d, X2Line))
-    return StabilityData(ExplicitOrder(phases), pieces)
+slope_data_x2 = slope_data_p1
 
 
 def x2_torsion_family(amb: X2Ambient, row: str, points=None, shift: int = 0) -> TorsionPair:

@@ -3,6 +3,9 @@
 Each function is the slow, descriptor-level path a fast path replaced:
 
 - the HN search by descriptors (`_hn_chains_reference`) for `hn_chains`;
+- every (sub, quotient) pair of a P^1 or X(2) line bundle, enumerated from
+  the degree gap (`line_decompositions`), for the quotients the package
+  describes only as length classes (`Ambient.spread_splits`);
 - validating every datum over the closed pieces (`_enumerate_valid_reference`,
   `_enumerate_finest_reference`) for the lattice enumerations;
 - every extension-closed set that passes the torsion-pair check
@@ -11,9 +14,9 @@ Each function is the slow, descriptor-level path a fast path replaced:
 - the extension table ORed from `Ambient.middle_terms` pair by pair
   (`_mid_mask_reference`) for `CarrierContext.mid_mask`, which reads each
   τ-orbit's least row and translates it;
-- every torsion spread read off `carrier_decompositions`
-  (`_split_masks_reference`) for the split masks `CarrierContext` builds
-  from length classes;
+- every torsion spread, embedded in the carrier (`carrier_decompositions`),
+  for the split masks `CarrierContext` builds from length classes
+  (`_split_masks_reference`);
 - the torsion-pair check on descriptor sets (`validate_torsion_pair`,
   `_decomposes`, `is_quotient_closed`) for the bit tests of `stabcat.torsion`;
 - the rank test of every subspace combo (`_submodules_reference`) for the
@@ -26,7 +29,10 @@ Each function is the slow, descriptor-level path a fast path replaced:
   (`direct_middle_answers`), for the answers `middle_terms_of_sums` shares
   across a rotation orbit of the cyclic quiver.
 
-They run on small carriers only and are imported by the tests alone.
+They run on small carriers only and are imported by the tests alone.  The
+HN, split-mask and torsion-pair references read a line bundle's pairs from
+`line_decompositions`, never from the package's spread walk, and every
+other object's from the model's `decompositions`.
 """
 
 from __future__ import annotations
@@ -37,11 +43,63 @@ from math import lcm
 
 from stabcat import gf, oracle
 from stabcat.phases import ExplicitOrder, Phase
+from stabcat.sheaves import P1Line, X2Ambient, X2Exc, X2Line
 from stabcat.stability import (_HN_COMBO_CAP, StabilityData, StabilityError, _piece_masks,
                                is_finest, validate)
 from stabcat.subcat import (EnumerationBoundError, SubcatError, canon_members, ctx_for,
                             enumerate_ext_closed, left_perp, right_perp)
 from stabcat.torsion import TorsionReport, _pairs
+
+
+def _compositions(total: int, parts: int):
+    """Each tuple of `parts` lengths >= 0 summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def line_decompositions(ambient, x) -> tuple:
+    """Every (sub, quotient) pair of the P^1 or X(2) line bundle x, by its
+    definition: the sub is a carrier line O(s) below x, and the quotient
+    spreads the degree gap g = dd(x) - dd(s) as w * sum(l_p) + e, with l_p
+    the length of the summand at the point p, w the degree of a point's
+    simple and e the length of the exceptional summand, whose top parity is
+    dd(x) mod 2 (X(2) only, else e = 0)."""
+    w, points = ambient.WEIGHT, ambient.points
+    out = []
+    for sub in [s for s in ambient.internal_lines() if s.dd < x.dd]:
+        gap = x.dd - sub.dd
+        for e in range(gap + 1) if isinstance(ambient, X2Ambient) else (0,):
+            if (gap - e) % w:
+                continue
+            for lengths in _compositions((gap - e) // w, len(points)):
+                quot = [X2Exc(x.dd % 2, e)] if e else []
+                quot += [ambient.Tor(p, k) for p, k in zip(points, lengths) if k]
+                out.append(((sub,), tuple(quot)))
+    return tuple(out)
+
+
+def decompositions(ambient, x) -> tuple:
+    """The proper (subs, quots) pairs of x: `line_decompositions` for a line
+    bundle, the model's `decompositions` for every other object."""
+    if isinstance(x, (P1Line, X2Line)):
+        return line_decompositions(ambient, x)
+    return ambient.decompositions(x)
+
+
+def carrier_decompositions(ambient, x) -> tuple:
+    """`decompositions` of the carrier member x in carrier space, each pair
+    once: a line bundle's summands embedded, every other member's pairs
+    from the model's `carrier_decompositions`."""
+    if isinstance(x, (P1Line, X2Line)):
+        embed = ambient.embed
+        return tuple(dict.fromkeys((subs, tuple(map(embed, quots)))
+                                   for subs, quots in line_decompositions(ambient, x)))
+    return ambient.carrier_decompositions(x)
 
 
 def _hn_chains_reference(ambient, sd: StabilityData, x) -> tuple:
@@ -60,7 +118,7 @@ def _reference_chains(ambient, sd, x, memo, piece_of, pidx):
     ph = piece_of.get(emb)
     if ph is not None:
         results.add(((ph, (x,), (x,)),))
-    for subs, quots in ambient.decompositions(x):
+    for subs, quots in decompositions(ambient, x):
         qphases = {piece_of.get(ambient.embed(q)) for q in quots}
         if len(qphases) != 1 or None in qphases:
             continue
@@ -137,7 +195,7 @@ def _valid_data_over_pieces(ambient, pieces_pool):
         yield from extend(frozenset(chosen))
 
     mandatory_mask = ctx.to_mask(ambient.embed(x) for x in ambient.hn_scope()
-                                 if not ambient.decompositions(x))
+                                 if not decompositions(ambient, x))
 
     def rec(start, chosen, used_mask):
         if chosen:
@@ -193,7 +251,7 @@ def _split_masks_reference(ambient, i: int) -> frozenset:
     `carrier_decompositions` gives."""
     ctx = ctx_for(ambient)
     return frozenset((ctx.to_mask(s), ctx.to_mask(q))
-                     for s, q in ambient.carrier_decompositions(ctx.carrier[i]))
+                     for s, q in carrier_decompositions(ambient, ctx.carrier[i]))
 
 
 def _decomposes(ambient, t, f, x) -> bool:
@@ -205,7 +263,7 @@ def _decomposes(ambient, t, f, x) -> bool:
     emb = ambient.embed(x)
     if emb in t or emb in f:
         return True
-    for subs, quots in ambient.carrier_decompositions(emb):
+    for subs, quots in carrier_decompositions(ambient, emb):
         if all(s in t for s in subs) and all(q in f for q in quots):
             return True
     return False
@@ -232,7 +290,7 @@ def validate_torsion_pair(ambient, t, f) -> TorsionReport:
 
 def is_quotient_closed(ambient, members) -> bool:
     members = frozenset(members)
-    return all(frozenset(q for _, quots in ambient.carrier_decompositions(x) for q in quots)
+    return all(frozenset(q for _, quots in carrier_decompositions(ambient, x) for q in quots)
                <= members for x in members)
 
 

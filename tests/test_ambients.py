@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from stabcat.ambient import Ambient, AmbientError, TubeAmbient, degree_pairs
+from stabcat.ambient import Ambient, AmbientError, TubeAmbient, WindowError, degree_pairs
 from stabcat.ambients import parse_ambient
 from stabcat.oracle import middle_terms_bruteforce
-from stabcat.sheaves import KronR, P1Tor, X2Ord
+from stabcat.sheaves import KronR, P1Line, P1Tor, X2Exc, X2Line, X2Ord
 from stabcat.tube import TubeIndec
 
 ALL_SPECS = [
@@ -38,12 +38,17 @@ def test_phase_quotients_defined_once():
 
 def test_weighted_line_rules_defined_once():
     """X(2)'s model is P^1's with weight 2 plus its exceptional tube: the
-    line-family rules live in P1Ambient alone, and the two models keep
-    distinct object classes."""
+    line-family rules, the margin column and the validation scope live in
+    P1Ambient alone, the two models keep distinct object classes, and no
+    second description of a line bundle's quotients is left."""
+    import stabcat.ambient
     from stabcat.sheaves import P1Ambient, P1Line, X2Ambient, X2Line
 
     assert issubclass(X2Ambient, P1Ambient)
-    assert not {"families", "middle_ranges", "_in_carrier"} & set(vars(X2Ambient))
+    assert not {"families", "middle_ranges", "_in_carrier", "__init__", "reported_members",
+                "reported_lines", "internal_lines", "hn_scope", "exc_tube_members",
+                "tubes"} & set(vars(X2Ambient))
+    assert not hasattr(stabcat.ambient, "one_phase_quotients")
     assert P1Tor is not X2Ord and P1Line is not X2Line
     assert P1Tor("0", 1) != X2Ord("0", 1) and str(P1Tor("0", 1)) == str(X2Ord("0", 1))
     assert P1Line(3).dd == 3 and str(P1Line(3)) == "O(3)" and str(X2Line(1, 1)) == "O(1c+1x1)"
@@ -148,3 +153,74 @@ def test_point_tube_middles_match_oracle(spec, make):
                     for ms in middle_terms_bruteforce(("cyclic", 1), TubeIndec(1, 0, a),
                                                       TubeIndec(1, 0, b), p=2)}
             assert got == want, (a, b)
+
+
+PARSE_WINDOWS = ["p1:window=-3..3:points=3", "x2:window=-3..3:points=3",
+                 "p1:window=0..0:points=0", "x2:window=0..0:points=1"]
+P1_33, X2_33, P1_00, X2_00 = PARSE_WINDOWS
+
+
+_bad = "cannot parse sheaf descriptor {!r}".format
+_below = "length or index 0 is below 1 in {!r}".format
+PARSE_CASES = [
+    (P1_33, "O(-3)", P1Line(-3)), (P1_33, " O(3) ", P1Line(3)),
+    (P1_33, "O(-4)", (WindowError, "O(-4) lies outside the window -3..3")),
+    (P1_33, "O(4)", (WindowError, "O(4) lies outside the window -3..3")),
+    (P1_33, "O(1c)", (AmbientError, _bad("O(1c)"))),
+    (P1_33, "O(1c+2x1)", (AmbientError, _bad("O(1c+2x1)"))),
+    (P1_33, "O(1+1x1)", (AmbientError, _bad("O(1+1x1)"))),
+    (P1_33, "S[lam]^(7)", P1Tor("lam", 2)), (P1_33, "S[0]^(1)", P1Tor("0", 1)),
+    (P1_33, "S[mu]^(1)", (AmbientError, "unknown sample point 'mu'")),
+    (P1_33, "S[1,2]^(1)", (AmbientError, "unknown sample point '1,2'")),
+    (P1_33, "S[a,b]^(1)", (AmbientError, "unknown sample point 'a,b'")),
+    (P1_33, "S[0]^(0)", (AmbientError, _below("S[0]^(0)"))),
+    (P1_33, "S[1,0]^(0)", (AmbientError, _below("S[1,0]^(0)"))),
+    (P1_33, "S[0]^(-1)", (AmbientError, _bad("S[0]^(-1)"))),
+    (P1_00, "O(0)", P1Line(0)),
+    (P1_00, "O(1)", (WindowError, "O(1) lies outside the window 0..0")),
+    (P1_00, "S[0]^(1)", (AmbientError, "unknown sample point '0'")),
+    (X2_33, "O(-4)", X2Line(-4, 0)), (X2_33, "O(-4c+1x1)", X2Line(-4, 1)),
+    (X2_33, "O(3c+1x1)", X2Line(3, 1)), (X2_33, " O(2c) ", X2Line(2, 0)),
+    (X2_33, "O(-1c+0x1)", X2Line(-1, 0)),
+    (X2_33, "O(-5c+1x1)", (WindowError, "O(-5c+1x1) lies outside the window -3..3")),
+    (X2_33, "O(4)", (WindowError, "O(4c+0x1) lies outside the window -3..3")),
+    (X2_33, "O(1c+2x1)", (AmbientError, "line bundle x1-coefficient must be 0 or 1")),
+    (X2_33, "O(1+1x1)", (AmbientError, _bad("O(1+1x1)"))),
+    (X2_33, "O(1c+1)", (AmbientError, _bad("O(1c+1)"))),
+    (X2_33, "S[1,0]^(7)", X2Exc(0, 3)), (X2_33, "S[1,1]^(4)", X2Exc(1, 4)),
+    (X2_33, "S[lam]^(9)", X2Ord("lam", 2)),
+    (X2_33, "S[1,2]^(1)", (AmbientError, _bad("S[1,2]^(1)"))),
+    (X2_33, "S[a,b]^(1)", (AmbientError, _bad("S[a,b]^(1)"))),
+    (X2_33, "S[0]^(0)", (AmbientError, _below("S[0]^(0)"))),
+    (X2_33, "S[1,0]^(0)", (AmbientError, _below("S[1,0]^(0)"))),
+    (X2_33, "S[mu]^(1)", (AmbientError, "unknown ordinary point 'mu'")),
+    (X2_33, "S[inf]^(1)", (AmbientError, "unknown ordinary point 'inf'")),
+    (X2_00, "O(-1c+1x1)", X2Line(-1, 1)), (X2_00, "O(0c+1x1)", X2Line(0, 1)),
+    (X2_00, "O(1)", (WindowError, "O(1c+0x1) lies outside the window 0..0")),
+    (X2_00, "O(-2c+1x1)", (WindowError, "O(-2c+1x1) lies outside the window 0..0")),
+    (X2_00, "S[1]^(1)", (AmbientError, "unknown ordinary point '1'")),
+    (X2_00, "S[0]^(2)", X2Ord("0", 2)),
+    (X2_00, "T[0]^(1)", (AmbientError, _bad("T[0]^(1)"))),
+]
+
+
+def test_sheaf_parse_pins_objects_and_messages():
+    """P^1 and X(2) descriptors: the parsed object, or the exact exception
+    type and message, on two windows each, margin lines included."""
+    ambients = {spec: parse_ambient(spec) for spec in PARSE_WINDOWS}
+    for spec, s, want in PARSE_CASES:
+        if isinstance(want, tuple):
+            kind, message = want
+            with pytest.raises(AmbientError) as exc:
+                ambients[spec].parse(s)
+            assert (type(exc.value), str(exc.value)) == (kind, message), (spec, s)
+        else:
+            got = ambients[spec].parse(s)
+            assert (type(got), got) == (type(want), want), (spec, s)
+
+
+@pytest.mark.parametrize("spec", PARSE_WINDOWS)
+def test_sheaf_parse_embeds_carrier_and_hn_scope(spec):
+    amb = parse_ambient(spec)
+    for x in amb.carrier() + amb.hn_scope():
+        assert amb.parse(str(x)) == amb.embed(x), str(x)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import stabcat.ambient as ambient
 import stabcat.stability as stability
 from stabcat.ambient import IntervalAmbient, TubeAmbient
 from stabcat.phases import ExplicitOrder, Phase
@@ -16,8 +17,9 @@ from stabcat.sheaves.p1 import P1Ambient, P1Line, P1Tor, finest_p1, slope_data_p
 from stabcat.sheaves.x2 import X2Ambient, X2Exc, X2Line, X2Ord, finest_x2, slope_data_x2
 from stabcat.stability import (HNBoundError, StabilityData, enumerate_finest, hn_chains,
                                hn_filtration, validate)
-from stabcat.subcat import EnumerationBoundError
+from stabcat.subcat import EnumerationBoundError, ctx_for
 
+import reference
 from reference import _hn_chains_reference
 
 
@@ -149,8 +151,10 @@ def random_sheaf_data(seed) -> list:
 
 
 def filtered_decompositions(amb, search, x, top_of):
+    """The reference decompositions of x whose quotient one phase below the
+    sub's top owns; a line bundle's from `reference.line_decompositions`."""
     out = set()
-    for subs, quots in amb.decompositions(x):
+    for subs, quots in reference.decompositions(amb, x):
         p = amb.owning_phase(quots, search.owner)
         if 0 <= p < top_of(subs):
             out.add((subs, tuple(sorted(quots, key=str)), p))
@@ -322,12 +326,38 @@ def product_spreads_x2(points, gap, parity):
 
 
 def spreads_by_gap(amb, x, degree) -> dict:
-    """The quotients of `decompositions(x)`, in order, keyed by the degree
-    gap between x and the line subsheaf."""
+    """The quotients the `phase_quotients` walk gives x when one phase owns
+    every member and tops every sub, in order, keyed by the degree gap
+    between x and the line subsheaf."""
     out = {}
-    for (sub,), quot in amb.decompositions(x):
+    owner = dict.fromkeys(amb.carrier(), 0)
+    for (sub,), quot, _ in amb.phase_quotients(x, owner, lambda subs: 1):
         out.setdefault(degree(x) - degree(sub), []).append(quot)
     return out
+
+
+@pytest.mark.parametrize("amb, data", [
+    (P1Ambient(-3, 3, 3), lambda a: [finest_p1(a), slope_data_p1(a)]),
+    (X2Ambient(-2, 2, 3), lambda a: [finest_x2(a, "full"), finest_x2(a, "coset"),
+                                     slope_data_x2(a)])], ids=["p1", "x2"])
+def test_references_do_not_read_the_spread_walk(monkeypatch, amb, data):
+    """The HN and split-mask references give what the fast paths give with
+    the package's spread walk switched off: they enumerate a line bundle's
+    quotients themselves."""
+    data = data(amb)
+    ctx = ctx_for(amb)
+    chains = [[hn_chains(amb, sd, x) for x in amb.hn_scope()] for sd in data]
+    masks = [{(s, q) for s, quotients in ctx.split_masks(amb, i) for q in quotients}
+             for _, i in ctx.scope]
+
+    def walked(*args):
+        raise AssertionError("a reference read the spread walk")
+
+    monkeypatch.setattr(ambient.Ambient, "phase_quotients", walked)
+    monkeypatch.setattr(P1Ambient, "spread_splits", walked)
+    monkeypatch.setattr(ambient, "length_spreads", walked)
+    assert chains == [[_hn_chains_reference(amb, sd, x) for x in amb.hn_scope()] for sd in data]
+    assert masks == [reference._split_masks_reference(amb, i) for _, i in ctx.scope]
 
 
 @pytest.mark.parametrize("n_points", range(1, 7))

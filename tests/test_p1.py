@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -186,3 +187,23 @@ def test_classification_counts_pinned(lo, hi, points, finest, pairs):
     amb = P1Ambient(lo, hi, points)
     assert count_finest(amb) == finest
     assert len(enumerate_torsion_pairs(amb)) == pairs
+
+
+@pytest.mark.parametrize("spec, line", [("p1:window=-25..25:points=6", "O(25)"),
+                                        ("x2:window=-12..12:points=3", "O(12c+1x1)")],
+                         ids=["p1", "x2"])
+def test_line_bundle_decompositions_raise_at_once(spec, line):
+    """A line bundle's quotients are described only by `spread_splits`: its
+    `decompositions` and `carrier_decompositions` raise one line at once
+    instead of listing every torsion spread."""
+    from stabcat.ambients import parse_ambient
+
+    amb = parse_ambient(spec)
+    x = amb.parse(line)
+    for method in (amb.decompositions, amb.carrier_decompositions):
+        start = time.perf_counter()
+        with pytest.raises(AmbientError, match="spread_splits") as exc:
+            method(x)
+        assert time.perf_counter() - start < 1
+        assert "\n" not in str(exc.value)
+    assert amb.spread_splits(x) is not None

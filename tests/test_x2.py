@@ -168,6 +168,18 @@ def test_family_guards(amb):
         finest_x2(amb, "coset", xtilde_order=["0", EXC_LO, EXC_MID, EXC_HI, "1", "lam"])
 
 
+def test_xtilde_order_missing_a_marker_raises_at_once(amb):
+    order = [EXC_LO, EXC_MID, "0", "1", "lam"]
+    with pytest.raises(AmbientError, match="each exceptional marker and point once"):
+        finest_x2(amb, "full", xtilde_order=order)
+
+
+@pytest.mark.parametrize("anchor", [2, -1])
+def test_anchor_outside_the_parities_raises_at_once(amb, anchor):
+    with pytest.raises(AmbientError, match=f"the parity 0 or 1, got {anchor}"):
+        finest_x2(amb, "full", anchor=anchor)
+
+
 def test_window_stability_x2():
     small, big = X2Ambient(-2, 2, 2), X2Ambient(-4, 4, 2)
     for x in small.carrier():
