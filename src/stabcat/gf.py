@@ -2,9 +2,10 @@
 
 A matrix is a list of row lists with entries in 0..p-1; a vector is one such
 row.  A matrix with no rows does not know its column count, so the functions
-that can meet one (`transpose`, `matmul`, `nullspace`, `solve_many`,
-`column_space_complement`) take it explicitly.  Everything here is exact
-integer arithmetic.
+that can meet one (`transpose`, `matmul`, `nullspace`, `solve_many`) take it
+explicitly.  Everything here is exact integer arithmetic; only the test
+references solve for coordinates (`solve_many`), the oracle reads them off
+`rref` pivots.
 """
 
 from __future__ import annotations
@@ -142,16 +143,6 @@ def solve_many(a: list, bs, cols: int, p: int):
             x[pc] = row[j]
         xs.append(x)
     return xs
-
-
-def column_space_complement(a: list, cols: int, p: int) -> list:
-    """Indices i, ascending, of the standard basis vectors e_i that complete
-    the column space of `a` (with `cols` columns) to the full space; each
-    e_i is taken when it is not in col(a) + span(e_j, j < i)."""
-    n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    _, pivots = rref(aug, p)
-    return [c - cols for c in pivots if c >= cols]
 
 
 def subspaces_fixed(d: int, k: int, p: int):

@@ -6,32 +6,25 @@ quiver with arrows v -> v-1 (the rank-n tube), ("linear", n) the quiver
 are intertwiner kernels; extensions are found by enumerating injections and
 decomposing cokernels, never by any combinatorial shortcut.  Decomposition
 works by Hom-count fingerprinting against the precomputed table of Hom
-dimensions between indecomposables (cyclic and linear shapes only).  The
-same table filters the candidate middle terms: Hom(X, -) and Hom(-, X) are
-left exact, so a middle term E of 0 -> A -> E -> B -> 0 obeys exact
-Hom-dimension bounds against every indecomposable X, and a candidate that
-fails them is dropped before any injection is tried.  For decomposable A,
-whether a pair of end terms occurs is read from one resumable sweep over
-the submodules of each candidate E per dimension vector: the sweep records
-each pair of sub and quotient classes it passes, stops at the first match,
-and the next query with the same E and dimension vector, whatever its A and
-B, looks among the recorded pairs first and resumes where it stopped.  The
-sweep takes every subspace in reduced row echelon form and reads the rest
-off its pivots: an arrow keeps a subspace tuple when each image row of the
-source basis reduces to zero against the target rows at their pivots, the
-sub's map coordinates are the image rows' entries at the target pivots, and
-the quotient has the standard vectors off the pivots as its basis.  The Hom
-table of each length reads, by descriptor, every Hom dimension that a table
-built before it holds.  On the cyclic quiver of rank n > 1 the rotation
+dimensions between indecomposables (cyclic and linear shapes only); a table
+reads, by descriptor, every Hom dimension that an earlier table holds.
+
+A middle-term query reads off that table, before any linear algebra, which
+candidate middle terms pass exact Hom-dimension bounds and what each needs
+(maps or subspace tuples); a need over the budget raises.  It then sweeps
+the maps A -> E, or for decomposable A the submodules of E, in one
+resumable sweep per (E, dimension vector) that every query shares.  Both
+sweeps take their quotients from one construction on a row basis in
+reduced row echelon form.  On the cyclic quiver of rank n > 1 the rotation
 v -> v+1 relabels the representation of S_j^(t) as that of S_{j+1}^(t)
 (`tube.tau(x, -1)`) and maps short exact sequences to short exact
 sequences, Hom dimensions and subspace counts included, so a middle-term
 query is answered once per rotation orbit: from an orbit-mate already
 asked, or else by computing the least rotation of (A, B), in whose frame
-the whole orbit sweeps.  Either way the memo holds, under each query
-asked, exactly what computing it directly gives.  Everything the oracle
-learns is kept in one memo per (shape, p) for the life of the process;
-`clear` forgets it all.
+the whole orbit sweeps.  Everything the oracle learns is kept in one memo
+per (shape, p) for the life of the process; `clear` forgets it all.  Under
+each middle-term query asked the memo holds (result, peak), the middle
+terms and the largest need: exactly what computing it directly gives.
 """
 
 from __future__ import annotations
@@ -169,7 +162,7 @@ class _Memo:
     """What the oracle has learned about one (shape, p): indecomposable
     representations by descriptor, Hom tables by length, decompositions by
     representation, candidate middle terms by dimension vector, submodule
-    sweeps by (E, dims) and middle-term answers by (A, B)."""
+    sweeps by (E, dims) and middle-term (result, peak) by (A, B)."""
 
     def __init__(self):
         self.indecs, self.tables, self.decomposed = {}, {}, {}
@@ -521,55 +514,12 @@ def _projective_coeff_vectors(r, p):
             yield v
 
 
-def _assemble(basis, coeffs, verts, p):
-    """The map sum(c * h), one matrix per vertex (None if every c is 0)."""
-    f = {}
-    for v in verts:
-        acc = None
-        for c, h in zip(coeffs, basis):
-            if c == 0:
-                continue
-            if acc is None:
-                acc = [[c * x for x in row] for row in h[v]]
-            else:
-                acc = [[x + c * y for x, y in zip(ra, rh)] for ra, rh in zip(acc, h[v])]
-        f[v] = None if acc is None else [[x % p for x in row] for row in acc]
-    return f
-
-
-def _is_injective(f, r1, p):
-    return all(r1.dims[v] == 0 if m is None else gf.rank(m, p) >= r1.dims[v]
-               for v, m in f.items())
-
-
-def cokernel_rep(f, r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
-    """Quotient of r2 by the image of the injective map f.
-
-    At each vertex the image columns followed by standard basis vectors e_i
-    (i in the complement) form a basis of r2; the quotient has the e_i as
-    its basis, and an arrow sends e_i to the complement coordinates of the
-    image of e_i, that is of column i of r2's map."""
-    p = r2.p
-    verts = vertices(r2.shape)
-    bases = {}
-    comps = {}
-    for v in verts:
-        d1, d2 = r1.dims[v], r2.dims[v]
-        img = f[v] if f[v] is not None else gf.zeros(d2, 0)
-        comp = gf.column_space_complement(img, d1, p)
-        bases[v] = [row + [int(i == e) for e in comp] for i, row in enumerate(img)]
-        comps[v] = comp
-    dims = {v: len(comps[v]) for v in verts}
-    maps = {}
-    for key, src, tgt in arrows(r2.shape):
-        m = r2.maps[key]
-        image_cols = [[row[e] for row in m] for e in comps[src]]
-        coords = gf.solve_many(bases[tgt], image_cols, r2.dims[tgt], p)
-        if coords is None:
-            raise OracleError("cokernel coordinates failed")
-        skip = r1.dims[tgt]
-        maps[key] = gf.transpose([x[skip:] for x in coords], dims[tgt])
-    return QuiverRep(r2.shape, p, dims, maps, check=False)
+def _assemble(basis, coeffs, p):
+    """The map sum(c * h) of a nonzero coefficient vector, one matrix per
+    vertex."""
+    cs, hs = zip(*[(c, h) for c, h in zip(coeffs, basis) if c])
+    return {v: [[sum(c * x for c, x in zip(cs, col)) % p for col in zip(*rows)]
+                for rows in zip(*(h[v] for h in hs))] for v in hs[0]}
 
 
 def _gauss_count(d: int, k: int, p: int) -> int:
@@ -627,30 +577,51 @@ def _submodules_with_dims(e_rep: QuiverRep, dims_query, start: int = 0):
             yield index, {v: subs[i] for v, subs, i in zip(verts, per_vertex, combo)}
 
 
-def _sub_and_quotient(e_rep: QuiverRep, bases):
-    """(submodule rep, quotient rep) for a stable subspace tuple whose bases
-    are in RREF.
-
-    The sub has the basis rows as its basis, and the coordinates of an
-    image row are its entries at the target's pivots.  The quotient has the
-    standard vectors off the pivots as its basis: an arrow sends e_i to
-    column i of E's map reduced modulo the target subspace, read off at the
-    target's non-pivot entries."""
+def _quotient(e_rep: QuiverRep, bases) -> QuiverRep:
+    """E / S for the arrow-stable subspace tuple S whose row bases are in
+    RREF: the standard vectors off the pivots are the quotient's basis, and
+    an arrow sends e_i to column i of E's map reduced modulo the target
+    subspace, read off at the target's non-pivot entries."""
     p = e_rep.p
     verts = vertices(e_rep.shape)
     pivots = {v: _pivots(bases[v]) for v in verts}
     rest = {v: [i for i in range(e_rep.dims[v]) if i not in pivots[v]] for v in verts}
-    sub_maps, quot_maps = {}, {}
+    maps = {}
     for key, src, tgt in arrows(e_rep.shape):
         m, basis = e_rep.maps[key], bases[tgt]
         at_pivots = [m[c] for c in pivots[tgt]]
-        sub_maps[key] = [[sum(x * y for x, y in zip(r, b)) % p for b in bases[src]]
-                         for r in at_pivots]
-        quot_maps[key] = [[(m[j][i] - sum(r[i] * row[j] for r, row in zip(at_pivots, basis))) % p
-                           for i in rest[src]] for j in rest[tgt]]
-    sub_rep = QuiverRep(e_rep.shape, p, {v: len(bases[v]) for v in verts}, sub_maps, check=False)
-    quot_dims = {v: len(rest[v]) for v in verts}
-    return sub_rep, QuiverRep(e_rep.shape, p, quot_dims, quot_maps, check=False)
+        maps[key] = [[(m[j][i] - sum(r[i] * row[j] for r, row in zip(at_pivots, basis))) % p
+                      for i in rest[src]] for j in rest[tgt]]
+    return QuiverRep(e_rep.shape, p, {v: len(rest[v]) for v in verts}, maps, check=False)
+
+
+def _sub_and_quotient(e_rep: QuiverRep, bases):
+    """(submodule rep, `_quotient`) for a stable subspace tuple whose bases
+    are in RREF.  The sub has the basis rows as its basis, and the
+    coordinates of an image row are its entries at the target's pivots."""
+    p = e_rep.p
+    verts = vertices(e_rep.shape)
+    maps = {}
+    for key, src, tgt in arrows(e_rep.shape):
+        at_pivots = [e_rep.maps[key][c] for c in _pivots(bases[tgt])]
+        maps[key] = [[sum(x * y for x, y in zip(r, b)) % p for b in bases[src]]
+                     for r in at_pivots]
+    sub_rep = QuiverRep(e_rep.shape, p, {v: len(bases[v]) for v in verts}, maps, check=False)
+    return sub_rep, _quotient(e_rep, bases)
+
+
+def _injection_quotient(f, a_rep: QuiverRep, e_rep: QuiverRep):
+    """E / im f for a map f: A -> E, one matrix per vertex, or None when f
+    is not injective.  The rows of f_v's transpose span im f_v; their RREF
+    has a pivot per dimension of A exactly when f_v is injective, and is
+    then the image basis that `_quotient` reads."""
+    image = {}
+    for v, m in f.items():
+        rows, pivots = gf.rref(gf.transpose(m, a_rep.dims[v]), e_rep.p)
+        if len(pivots) < a_rep.dims[v]:
+            return None
+        image[v] = rows
+    return _quotient(e_rep, image)
 
 
 def _has_sub_quotient(shape, p: int, e_multiset, dims_query, pair) -> bool:
@@ -697,41 +668,35 @@ def _check_budget(needs, a_multiset, b_multiset) -> None:
 def middle_terms_of_sums(shape, a_multiset, b_multiset, p: int = 2):
     """Middle-term multisets of non-split 0 -> ⊕A -> E -> ⊕B -> 0.
 
-    Exhaustive over all candidate multisets E of the right dimension vector.
-    Each candidate is first held to the exact Hom bounds of
-    `_hom_bounds_admit`, read off the oracle's own Hom table; only the
-    survivors reach linear algebra.  For indecomposable A the full Hom(A, E)
-    space is swept map by map (injectivity + cokernel decomposition); for
-    decomposable A the arrow-stable submodules of E are enumerated instead,
-    which tests the same condition (the image of an injection is a submodule
-    isomorphic to ⊕A and conversely).  That enumeration is the resumable
-    sweep of `_has_sub_quotient`, shared by every query with the same E and
-    the dimension vector of A: it stops at the first submodule with sub ⊕A
-    and quotient ⊕B, and a later query first looks among the class pairs
-    already passed.  The split multiset A + B is excluded by definition.
-    The budget (`STABCAT_BUDGET`) bounds the maps or submodule tuples of
-    each candidate, and holds for cached answers too: the memo's `middle`
-    maps (A, B) to the middle terms, the needs (count, unit, E), in sweep
-    order, of each E that reached linear algebra, and the largest need or 0,
-    whether (A, B) was computed or shared with its rotation orbit
-    (`_orbit_answer`): exactly what computing (A, B) directly gives.
+    Exhaustive over all candidate multisets E of the right dimension vector
+    but A + B, in two passes.  The first, `_needs`, holds each candidate to
+    the exact Hom bounds of `_hom_bounds_admit` and reads each survivor's
+    need off the Hom table; a need over the budget (`STABCAT_BUDGET`) raises
+    before any linear algebra.  The second sweeps the survivors: for
+    indecomposable A the maps A -> E (injectivity and cokernel), else the
+    arrow-stable submodules of E (the image of an injection is a submodule
+    isomorphic to ⊕A and conversely) by the resumable `_has_sub_quotient`.
+    Both take their quotients from `_quotient`.  The memo's `middle` maps
+    (A, B) to (result, peak), the largest need or 0, computed or shared with
+    its rotation orbit (`_orbit_answer`); an answer whose peak is over the
+    budget raises for (A, B)'s own first need over it, as computing (A, B)
+    directly does.
     """
     a_multiset = tuple(sorted(a_multiset, key=str))
     b_multiset = tuple(sorted(b_multiset, key=str))
     middle = _memo(shape, p).middle
-    hit = middle.get((a_multiset, b_multiset))
-    if hit is not None:
-        result, needs, peak = hit
-        if peak and peak > budget_limit():
-            _check_budget(needs, a_multiset, b_multiset)
-        return result
-    if not (a_multiset and b_multiset):
-        raise OracleError("empty direct sum")
-    answer = _orbit_answer(shape, a_multiset, b_multiset, p)
-    # an orbit-mate's answer was found under the budget of its own query
-    _check_budget(answer[1], a_multiset, b_multiset)
-    middle[a_multiset, b_multiset] = answer
-    return answer[0]
+    answer = middle.get((a_multiset, b_multiset))
+    cached = answer is not None
+    if not cached:
+        if not (a_multiset and b_multiset):
+            raise OracleError("empty direct sum")
+        answer = _orbit_answer(shape, a_multiset, b_multiset, p)
+    result, peak = answer
+    if peak and peak > budget_limit():
+        _check_budget(_needs(shape, a_multiset, b_multiset, p)[1], a_multiset, b_multiset)
+    if not cached:
+        middle[a_multiset, b_multiset] = answer
+    return result
 
 
 def _rotated(multiset, r: int):
@@ -740,11 +705,11 @@ def _rotated(multiset, r: int):
 
 
 def _orbit_answer(shape, a_multiset, b_multiset, p: int):
-    """(result, needs, peak) of (A, B).  On a cyclic shape of rank n > 1 it
-    is an orbit-mate's answer in the memo, or else the least rotation's,
-    computed afresh, turned back and with its needs in (A, B)'s candidate
-    order.  A least rotation over the budget sends (A, B) to a direct
-    computation, which raises for (A, B)'s own first candidate over it."""
+    """(result, peak) of (A, B).  On a cyclic shape of rank n > 1 it is an
+    orbit-mate's answer in the memo, or else the least rotation's, computed
+    afresh, with the result turned back.  Rotation carries the needs of
+    (A, B) onto the mate's, so the peak is the same; a least rotation over
+    the budget raises for (A, B)'s own first need over it."""
     n = shape[1] if shape[0] == "cyclic" else 1
     if n == 1:
         return _middle_terms(shape, a_multiset, b_multiset, p)
@@ -753,67 +718,71 @@ def _orbit_answer(shape, a_multiset, b_multiset, p: int):
     middle = _memo(shape, p).middle
     r = next((r for r in range(1, n) if keys[r] in middle), None)
     if r is not None:
-        result, needs, peak = middle[keys[r]]
+        result, peak = middle[keys[r]]
     else:
         r = min(range(n), key=keys.__getitem__)
         if r == 0:
             return _middle_terms(shape, a_multiset, b_multiset, p)
         try:
-            result, needs, peak = _middle_terms(shape, *keys[r], p)
+            result, peak = _middle_terms(shape, *keys[r], p)
         except BudgetExceededError:
-            return _middle_terms(shape, a_multiset, b_multiset, p)
+            _check_budget(_needs(shape, a_multiset, b_multiset, p)[1], a_multiset, b_multiset)
+            raise
     reps = [build_indec(shape, d, p) for d in a_multiset + b_multiset]
     target = tuple((v, sum(rep.dims[v] for rep in reps)) for v in vertices(shape))
     # each E turned back is held as the very tuple `_candidates` keeps for (A, B)
-    canon = {cand: (i, cand) for i, (cand, _, _) in enumerate(_candidates(shape, p, target))}
-    needs = sorted((canon[_rotated(cand, -r)], count, unit) for count, unit, cand in needs)
-    return (frozenset(canon[_rotated(ms, -r)][1] for ms in result),
-            tuple((count, unit, cand) for (_, cand), count, unit in needs), peak)
+    canon = {cand: cand for cand, _, _ in _candidates(shape, p, target)}
+    return frozenset(canon[_rotated(ms, -r)] for ms in result), peak
 
 
-def _middle_terms(shape, a_multiset, b_multiset, p: int):
-    """(result, needs, peak) of the nonempty sorted (A, B), computed by the
-    linear algebra of `middle_terms_of_sums`, which stores it."""
+def _needs(shape, a_multiset, b_multiset, p: int):
+    """(dims_query, needs) of the nonempty sorted (A, B): A's dimension
+    vector as sorted (vertex, dim) pairs, and the need (count, unit, E) of
+    each candidate E past `_hom_bounds_admit`, in candidate order.  For
+    indecomposable A at table position a, E needs p^[A, E] maps, [A, E]
+    being entry a of E's profile `into`; an E with [A, E] = 0 is dropped.
+    For decomposable A every E needs the same count of subspace tuples."""
     verts = vertices(shape)
     reps = {d: build_indec(shape, d, p) for d in a_multiset + b_multiset}
     a_dims, b_dims = ({v: sum(reps[d].dims[v] for d in ms) for v in verts}
                       for ms in (a_multiset, b_multiset))
     target = tuple((v, a_dims[v] + b_dims[v]) for v in verts)
     split = tuple(sorted(a_multiset + b_multiset, key=str))
-    dims_query = tuple(sorted(a_dims.items()))
-    e_dims = dict(target)  # every candidate E has this dimension vector
-    # an indecomposable A is swept map by map, and needs no direct sum
-    a_rep = reps[a_multiset[0]] if len(a_multiset) == 1 else None
-    table = _hom_table(shape, p, sum(e_dims.values()))
+    table = _hom_table(shape, p, sum(t for _, t in target))
     a_idx, b_idx = ([table.pos[d] for d in ms] for ms in (a_multiset, b_multiset))
     a_prof, b_prof = _hom_profile(table, a_idx), _hom_profile(table, b_idx)
-    found, needs = set(), []
-    for cand, into, out in _candidates(shape, p, target):
-        if cand == split or not _hom_bounds_admit((into, out), a_prof, b_prof, a_idx, b_idx):
-            continue
-        if a_rep is not None:
+    admitted = [(cand, into) for cand, into, out in _candidates(shape, p, target)
+                if cand != split and _hom_bounds_admit((into, out), a_prof, b_prof, a_idx, b_idx)]
+    if len(a_idx) == 1:
+        needs = [(p ** into[a_idx[0]], "maps", cand) for cand, into in admitted if into[a_idx[0]]]
+    else:
+        n_tuples = prod(_gauss_count(a_dims[v] + b_dims[v], k, p) for v, k in a_dims.items())
+        needs = [(n_tuples, "tuples", cand) for cand, _ in admitted]
+    return tuple(sorted(a_dims.items())), needs
+
+
+def _middle_terms(shape, a_multiset, b_multiset, p: int):
+    """(result, peak) of the nonempty sorted (A, B), computed by the two
+    passes of `middle_terms_of_sums`, which stores it."""
+    dims_query, needs = _needs(shape, a_multiset, b_multiset, p)
+    _check_budget(needs, a_multiset, b_multiset)
+    found = set()
+    if len(a_multiset) == 1:
+        # an indecomposable A is swept map by map, and needs no direct sum
+        a_rep = build_indec(shape, a_multiset[0], p)
+        for _, _, cand in needs:
             e_rep = direct_sum([build_indec(shape, d, p) for d in cand])
             basis = hom_basis(a_rep, e_rep)
-            r = len(basis)
-            if r == 0:
-                continue
-            needs.append((p ** r, "maps", cand))
-            _check_budget(needs[-1:], a_multiset, b_multiset)
-            for coeffs in _projective_coeff_vectors(r, p):
-                fmap = _assemble(basis, coeffs, verts, p)
-                if not _is_injective(fmap, a_rep, p):
-                    continue
-                coker = cokernel_rep(fmap, a_rep, e_rep)
-                if decompose(coker) == b_multiset:
+            for coeffs in _projective_coeff_vectors(len(basis), p):
+                quotient = _injection_quotient(_assemble(basis, coeffs, p), a_rep, e_rep)
+                if quotient is not None and decompose(quotient) == b_multiset:
                     found.add(cand)
                     break
-        else:
-            n_tuples = prod(_gauss_count(e_dims[v], k, p) for v, k in dims_query)
-            needs.append((n_tuples, "tuples", cand))
-            _check_budget(needs[-1:], a_multiset, b_multiset)
+    else:
+        for _, _, cand in needs:
             if _has_sub_quotient(shape, p, cand, dims_query, (a_multiset, b_multiset)):
                 found.add(cand)
-    return frozenset(found), tuple(needs), max((n for n, _, _ in needs), default=0)
+    return frozenset(found), max((n for n, _, _ in needs), default=0)
 
 
 def middle_terms_bruteforce(shape, a, b, p: int = 2):

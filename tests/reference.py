@@ -23,6 +23,9 @@ Each function is the slow, descriptor-level path a fast path replaced:
   oracle's echelon-form sweep `_submodules_with_dims`, and the sub and
   quotient by `solve_many` and `cokernel_rep` (`_sub_and_quotient_reference`)
   for `_sub_and_quotient`, which reads both off the pivots;
+- the cokernel of a map on the standard vectors that complete its image
+  (`cokernel_rep`, `column_space_complement`) for `_injection_quotient`,
+  which reads it off the RREF of the image;
 - Gauss-Jordan elimination over `Fraction`s (`_invert_reference`) for the
   oracle's fraction-free `_invert`;
 - each middle-term query computed by itself, in its own frame
@@ -348,6 +351,45 @@ def _submodules_reference(e_rep, dims_query):
     return out
 
 
+def column_space_complement(a: list, cols: int, p: int) -> list:
+    """Indices i, ascending, of the standard basis vectors e_i that complete
+    the column space of `a` (with `cols` columns) to the full space; each
+    e_i is taken when it is not in col(a) + span(e_j, j < i)."""
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    _, pivots = gf.rref(aug, p)
+    return [c - cols for c in pivots if c >= cols]
+
+
+def cokernel_rep(f, r1, r2):
+    """Quotient of r2 by the image of the injective map f.
+
+    At each vertex the image columns followed by standard basis vectors e_i
+    (i in the complement) form a basis of r2; the quotient has the e_i as
+    its basis, and an arrow sends e_i to the complement coordinates of the
+    image of e_i, that is of column i of r2's map."""
+    p = r2.p
+    verts = oracle.vertices(r2.shape)
+    bases = {}
+    comps = {}
+    for v in verts:
+        img = f[v]
+        comp = column_space_complement(img, r1.dims[v], p)
+        bases[v] = [row + [int(i == e) for e in comp] for i, row in enumerate(img)]
+        comps[v] = comp
+    dims = {v: len(comps[v]) for v in verts}
+    maps = {}
+    for key, src, tgt in oracle.arrows(r2.shape):
+        m = r2.maps[key]
+        image_cols = [[row[e] for row in m] for e in comps[src]]
+        coords = gf.solve_many(bases[tgt], image_cols, r2.dims[tgt], p)
+        if coords is None:
+            raise oracle.OracleError("cokernel coordinates failed")
+        skip = r1.dims[tgt]
+        maps[key] = gf.transpose([x[skip:] for x in coords], dims[tgt])
+    return oracle.QuiverRep(r2.shape, p, dims, maps, check=False)
+
+
 def _sub_and_quotient_reference(e_rep, bases):
     """(submodule rep, quotient rep) for a stable subspace tuple: the sub's
     coordinates by `solve_many` and the quotient by `cokernel_rep` of the
@@ -364,7 +406,7 @@ def _sub_and_quotient_reference(e_rep, bases):
             raise oracle.OracleError("submodule basis is not arrow-stable")
         maps[key] = gf.transpose(coords, dims[tgt])
     sub_rep = oracle.QuiverRep(e_rep.shape, p, dims, maps, check=False)
-    return sub_rep, oracle.cokernel_rep(inclusion, sub_rep, e_rep)
+    return sub_rep, cokernel_rep(inclusion, sub_rep, e_rep)
 
 
 def _invert_reference(matrix):
@@ -390,7 +432,7 @@ def _invert_reference(matrix):
 
 
 def direct_middle_answers(queries) -> dict:
-    """{(shape, p, A, B): (result, needs, peak)} for each (shape, p, A, B)
+    """{(shape, p, A, B): (result, peak)} for each (shape, p, A, B)
     with sorted multisets A and B, computed one query at a time by the
     oracle's unshared linear algebra `_middle_terms` on a fresh memo: what a
     direct computation stores in the memo's `middle`.  The oracle's own memo

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from reference import (_invert_reference, _sub_and_quotient_reference, _submodules_reference,
-                       direct_middle_answers)
+                       cokernel_rep, direct_middle_answers)
 from stabcat import gf, oracle
 from stabcat.intervals import IntervalModule
 from stabcat.tube import TubeIndec, tau
@@ -587,6 +587,43 @@ def test_echelon_sweep_agrees_with_rank_reference_over_gf5():
         _assert_sweep_agrees_with_reference(shape, 5, e_multiset, dims_query)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_map_sweep_quotients_agree_with_cokernel_reference(monkeypatch, empty_oracle, p):
+    """Every map that the map sweep meets, on the indecomposable pairs of
+    total length <= 5 over the tubes of rank 1 to 3 and over A_3 and A_4:
+    it counts as injective exactly when its rank at each vertex is A's
+    dimension there, and then its quotient, read off the RREF of the image,
+    decomposes as the reference cokernel on a complement of the image."""
+    from stabcat.intervals import all_intervals
+
+    met, quotient_of = [], oracle._injection_quotient
+
+    def checked(f, a_rep, e_rep):
+        quotient = quotient_of(f, a_rep, e_rep)
+        injective = all(gf.rank(f[v], p) == a_rep.dims[v] for v in f)
+        met.append(injective)
+        if not injective:
+            assert quotient is None
+            return None
+        reference = cokernel_rep(f, a_rep, e_rep)
+        assert quotient.dims == reference.dims
+        assert oracle.decompose(quotient) == oracle.decompose(reference)
+        return quotient
+
+    monkeypatch.setattr(oracle, "_injection_quotient", checked)
+    pools = [(("cyclic", n), [TubeIndec(n, j, t) for j in range(n) for t in range(1, 5)])
+             for n in (1, 2, 3)]
+    pools += [(("linear", n), all_intervals(n)) for n in (3, 4)]
+    for shape, pool in pools:
+        size = {x: oracle.build_indec(shape, x, p).total_dim() for x in pool}
+        for a in pool:
+            for b in pool:
+                if size[a] + size[b] <= 5:
+                    oracle.middle_terms_bruteforce(shape, a, b, p=p)
+    injective = sum(met)
+    assert 50 < injective < len(met)
+
+
 def _sums_up_to(members, lengths, max_total, start=0, acc=(), total=0):
     """(multiset, total length) for every nonempty multiset over `members`
     of total length <= max_total, depth-first in member order."""
@@ -648,9 +685,16 @@ def test_closure_asks_each_pair_once_in_reference_order(monkeypatch, length_boun
         assert ours == list(dict.fromkeys(asked)), gens
 
 
+def _needs_of(key):
+    shape, p, a, b = key
+    return oracle._needs(shape, a, b, p)[1]
+
+
 def _middle_cache_digest(entries):
-    rows = sorted(str((key, sorted(map(str, result)), needs, peak))
-                  for key, (result, needs, peak) in entries.items())
+    """Digest of the (shape, p, A, B) -> (result, peak) entries, each with
+    the needs of (A, B) that `_needs` reads off the Hom table."""
+    rows = sorted(str((key, sorted(map(str, result)), tuple(_needs_of(key)), peak))
+                  for key, (result, peak) in entries.items())
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
@@ -679,10 +723,27 @@ def test_closure_suite_cache_contents_and_sweep_state(empty_oracle):
                        for side in pair)
 
 
+@pytest.mark.parametrize("suite", ["tube-closure-t3", "tube-middle-gf3", "ar-duality"])
+def test_middle_entries_hold_the_peak_of_their_needs(empty_oracle, suite):
+    """Every middle-term answer a suite leaves in the memo is (result, peak),
+    with peak the largest need that `_needs` reads off the Hom table for
+    its own query, or 0 when no candidate has one."""
+    from stabcat import checks
+
+    assert checks.run_suite(suite).ok
+    entries = {(shape, p, a, b): answer for (shape, p), memo in oracle._MEMO.items()
+               for (a, b), answer in memo.middle.items()}
+    assert len(entries) > 100
+    assert any(answer[1] == 0 for answer in entries.values())
+    for key, answer in entries.items():
+        assert type(answer) is tuple and len(answer) == 2 and type(answer[0]) is frozenset
+        assert answer[1] == max((count for count, _, _ in _needs_of(key)), default=0), key
+
+
 @pytest.mark.parametrize("suite", ["tube-closure-t3", "tube-closure-t3-gf3", "tube-middle-gf3"])
 def test_shared_middle_answers_equal_direct_computation(empty_oracle, suite):
-    """Every middle-term answer a suite leaves in the memo, results, needs
-    and peak, equals the direct computation of its own query."""
+    """Every middle-term answer a suite leaves in the memo, result and
+    peak, equals the direct computation of its own query."""
     from stabcat import checks
 
     assert checks.run_suite(suite).ok
